@@ -5,8 +5,8 @@
 // Not a paper figure: micro-benchmarks of the substrate components so
 // regressions in simulator throughput are visible. Covers the structures
 // on the per-instruction hot path (cache lookups, DLT updates, predictor
-// updates) and the per-event cold path (trace building, prefetch
-// planning, full simulation throughput).
+// updates), the per-event cold path (trace building, prefetch
+// planning, full simulation throughput) and per-job set-up (data images).
 //
 //===----------------------------------------------------------------------===//
 
@@ -131,6 +131,23 @@ static void BM_SimulatorThroughput(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_SimulatorThroughput)->Unit(benchmark::kMillisecond);
+
+static void BM_WorkloadImage(benchmark::State &State, const char *Name) {
+  // The per-job set-up cost of one data image: materialize, initialize and
+  // destroy it. After the first iteration, pages come from the slabs the
+  // previous image returned, as they do for later jobs of a batch.
+  Workload W = makeWorkload(Name);
+  for (auto _ : State) {
+    DataMemory M;
+    W.Init(M);
+    benchmark::DoNotOptimize(M.numPages());
+  }
+}
+BENCHMARK_CAPTURE(BM_WorkloadImage, mcf, "mcf")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_WorkloadImage, equake, "equake")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_WorkloadImage, dot, "dot")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_WorkloadImage, vis, "vis")->Unit(benchmark::kMillisecond);
 
 static void runBatchThroughput(benchmark::State &State, unsigned Threads) {
   // A small multi-workload sweep through the batch executor, caching

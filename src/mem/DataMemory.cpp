@@ -6,7 +6,42 @@
 
 #include "mem/DataMemory.h"
 
+#include <algorithm>
+#include <mutex>
+#include <utility>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(P, N) ((void)(P), (void)(N))
+#define ASAN_UNPOISON_MEMORY_REGION(P, N) ((void)(P), (void)(N))
+#endif
+
 using namespace trident;
+
+/// 1 MB of pages plus the link that threads a slab onto its owner's list
+/// or the free list. Pages are left uninitialized here and cleared one at
+/// a time as they are handed out.
+struct DataMemory::Slab {
+  Slab *Next = nullptr;
+  Page Pages[SlabPages];
+};
+
+/// Process-wide free list of slabs. A destroyed DataMemory returns its
+/// slabs here instead of to the allocator, so the next image is built in
+/// pages the process has already faulted in, and the footprint only ever
+/// refills the high-water mark an earlier memory set. Leaked on purpose:
+/// it outlives every DataMemory, including those destroyed at exit.
+struct DataMemory::SlabPool {
+  std::mutex Mu;
+  // trident-analyze: guarded-by(Mu)
+  Slab *Free = nullptr;
+
+  static SlabPool &instance() {
+    static SlabPool &P = *new SlabPool;
+    return P;
+  }
+};
 
 static size_t hashKey(uint64_t Key) {
   Key *= 0x9E3779B97F4A7C15ull; // Fibonacci hashing; VPNs are near-sequential
@@ -18,12 +53,33 @@ DataMemory::DataMemory() {
   Slots.assign(1024, nullptr);
 }
 
+DataMemory::~DataMemory() {
+  if (!Slabs)
+    return;
+  // Poisoned while free: a read through a destroyed memory's page reports
+  // under ASan instead of reading whatever image recycles the page.
+  Slab *Last = Slabs;
+  for (Slab *S = Slabs; S; S = S->Next) {
+    ASAN_POISON_MEMORY_REGION(S->Pages, sizeof(S->Pages));
+    Last = S;
+  }
+  SlabPool &Pool = SlabPool::instance();
+  std::lock_guard<std::mutex> L(Pool.Mu);
+  Last->Next = Pool.Free;
+  Pool.Free = Slabs;
+}
+
 const DataMemory::Page *DataMemory::findPage(Addr A) const {
   const uint64_t Key = (A >> PageBits) + 1;
+  if (Key == CachedKey)
+    return CachedPage;
   const size_t Mask = Keys.size() - 1;
   for (size_t I = hashKey(Key) & Mask;; I = (I + 1) & Mask) {
-    if (Keys[I] == Key)
-      return Slots[I];
+    if (Keys[I] == Key) {
+      CachedKey = Key;
+      CachedPage = Slots[I];
+      return CachedPage;
+    }
     if (Keys[I] == 0)
       return nullptr;
   }
@@ -65,11 +121,24 @@ void DataMemory::write64(Addr A, uint64_t Value) {
 
 DataMemory::Page *DataMemory::allocPage() {
   if (SlabUsed == SlabPages) {
-    // make_unique value-initializes the slab, so every page reads as zero.
-    Slabs.push_back(std::make_unique<Page[]>(SlabPages));
+    SlabPool &Pool = SlabPool::instance();
+    Slab *S = nullptr;
+    {
+      std::lock_guard<std::mutex> L(Pool.Mu);
+      S = Pool.Free;
+      if (S)
+        Pool.Free = S->Next;
+    }
+    if (!S)
+      S = new Slab;
+    S->Next = Slabs;
+    Slabs = S;
     SlabUsed = 0;
   }
-  return &Slabs.back()[SlabUsed++];
+  Page *P = &Slabs->Pages[SlabUsed++];
+  ASAN_UNPOISON_MEMORY_REGION(P, sizeof(Page));
+  P->fill(0);
+  return P;
 }
 
 void DataMemory::grow() {
@@ -91,11 +160,16 @@ void DataMemory::grow() {
 
 DataMemory::Page &DataMemory::getOrCreatePage(Addr A) {
   const uint64_t Key = (A >> PageBits) + 1;
+  if (Key == CachedKey)
+    return *CachedPage;
   size_t Mask = Keys.size() - 1;
   size_t I = hashKey(Key) & Mask;
   while (Keys[I] != 0) {
-    if (Keys[I] == Key)
-      return *Slots[I];
+    if (Keys[I] == Key) {
+      CachedKey = Key;
+      CachedPage = Slots[I];
+      return *CachedPage;
+    }
     I = (I + 1) & Mask;
   }
   // Keep the load factor under 3/4 so probe chains stay short.
@@ -110,5 +184,25 @@ DataMemory::Page &DataMemory::getOrCreatePage(Addr A) {
   Keys[I] = Key;
   Slots[I] = P;
   ++NumPages;
+  CachedKey = Key;
+  CachedPage = P;
   return *P;
+}
+
+uint64_t DataMemory::contentHash() const {
+  std::vector<std::pair<uint64_t, const Page *>> ByVpn;
+  ByVpn.reserve(NumPages);
+  for (size_t I = 0; I < Keys.size(); ++I)
+    if (Keys[I] != 0)
+      ByVpn.emplace_back(Keys[I] - 1, Slots[I]);
+  std::sort(ByVpn.begin(), ByVpn.end());
+  uint64_t H = 0xcbf29ce484222325ull;
+  auto fold = [&H](uint8_t B) { H = (H ^ B) * 1099511628211ull; };
+  for (const auto &[Vpn, P] : ByVpn) {
+    for (int I = 0; I < 8; ++I)
+      fold(static_cast<uint8_t>(Vpn >> (8 * I)));
+    for (uint8_t B : *P)
+      fold(B);
+  }
+  return H;
 }

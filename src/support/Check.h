@@ -11,7 +11,7 @@
 /// a silently corrupted MSHR heap or a non-monotonic cycle counter does
 /// not crash, it just produces wrong numbers that look plausible. These
 /// macros replace bare assert() everywhere in src/ (enforced by
-/// tools/trident_lint.py) and add printf-style formatted context so a
+/// tools/trident_analyze.py) and add printf-style formatted context so a
 /// failure report carries the actual values, not just the expression:
 ///
 ///   TRIDENT_CHECK(Ctx < Ctxs.size(),

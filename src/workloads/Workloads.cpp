@@ -12,6 +12,7 @@
 #include "workloads/fuzz/FuzzGenerator.h"
 
 #include <algorithm>
+#include <cstdint>
 
 using namespace trident;
 
@@ -36,6 +37,8 @@ Addr trident::buildLinkedList(DataMemory &Mem, Addr Base, uint64_t NumNodes,
                               unsigned NodeSize, unsigned LinkOffset,
                               bool Shuffled, uint64_t Seed) {
   TRIDENT_CHECK(NumNodes >= 2, "list needs at least two nodes");
+  TRIDENT_CHECK(NumNodes <= UINT32_MAX, "list too long: %llu nodes",
+                static_cast<unsigned long long>(NumNodes));
   std::vector<uint64_t> Order(NumNodes);
   for (uint64_t I = 0; I < NumNodes; ++I)
     Order[I] = I;
@@ -51,13 +54,19 @@ Addr trident::buildLinkedList(DataMemory &Mem, Addr Base, uint64_t NumNodes,
       }
     }
   }
+  // Order[I] is the node at list position I. Stash each node's own
+  // position in the high half of its slot, then write the links in node
+  // address order: a shuffled image fills page by page instead of taking
+  // a DRAM miss per link, and no second per-node array is needed.
+  constexpr uint64_t NodeMask = UINT32_MAX;
+  for (uint64_t I = 0; I < NumNodes; ++I)
+    Order[Order[I] & NodeMask] |= I << 32;
   auto nodeAddr = [&](uint64_t Idx) { return Base + Idx * NodeSize; };
-  for (uint64_t I = 0; I < NumNodes; ++I) {
-    Addr Cur = nodeAddr(Order[I]);
-    Addr Next = nodeAddr(Order[(I + 1) % NumNodes]);
-    Mem.write64(Cur + LinkOffset, Next);
+  for (uint64_t N = 0; N < NumNodes; ++N) {
+    uint64_t Next = Order[((Order[N] >> 32) + 1) % NumNodes] & NodeMask;
+    Mem.write64(nodeAddr(N) + LinkOffset, nodeAddr(Next));
   }
-  return nodeAddr(Order[0]);
+  return Base;
 }
 
 Addr trident::buildRunShuffledList(DataMemory &Mem, Addr Base,

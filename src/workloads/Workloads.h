@@ -67,7 +67,8 @@ std::vector<Workload> makeAllWorkloads();
 /// a random permutation (destroying the allocation-order stride);
 /// otherwise nodes link in address order (so the chasing load is
 /// stride-predictable, as the paper observes for regularly allocated
-/// structures). Returns the address of the first node in traversal order.
+/// structures). Returns the head of the traversal, which is always \p Base:
+/// a shuffled order is rotated so node 0 leads.
 Addr buildLinkedList(DataMemory &Mem, Addr Base, uint64_t NumNodes,
                      unsigned NodeSize, unsigned LinkOffset, bool Shuffled,
                      uint64_t Seed = 1);

@@ -78,12 +78,16 @@ using namespace trident;
 
 namespace {
 
-uint64_t countedRun(SmtCore &Core, uint64_t Instructions) {
+template <typename Fn> uint64_t countedAllocs(Fn &&Body) {
   GAllocs.store(0, std::memory_order_relaxed);
   GCounting.store(true, std::memory_order_relaxed);
-  Core.run(Instructions);
+  Body();
   GCounting.store(false, std::memory_order_relaxed);
   return GAllocs.load(std::memory_order_relaxed);
+}
+
+uint64_t countedRun(SmtCore &Core, uint64_t Instructions) {
+  return countedAllocs([&] { Core.run(Instructions); });
 }
 
 /// Replicates runSimulation's machine wiring (Simulation.cpp) with the
@@ -144,6 +148,26 @@ TEST(AllocCount, HardwareBaselineSteadyStateIsAllocFree) {
         << Name << ": the pure-hardware measurement window heap-allocated "
         << Allocs << " time(s); the cycle loop must be allocation-free";
   }
+}
+
+TEST(AllocCount, RecycledSlabHandoutIsAllocFree) {
+  // A destroyed memory's slabs go back to the process-wide free list, and
+  // a later memory materializing pages from them must not allocate. 700
+  // pages span three slabs and stay under the table's first growth point.
+  constexpr unsigned Pages = 700;
+  {
+    DataMemory Old;
+    for (unsigned P = 0; P < Pages; ++P)
+      Old.write64(P * DataMemory::PageSize, 1);
+  }
+  DataMemory M;
+  uint64_t Allocs = countedAllocs([&] {
+    for (unsigned P = 0; P < Pages; ++P)
+      M.write64(0x4000'0000 + P * DataMemory::PageSize, 1);
+  });
+  EXPECT_EQ(M.numPages(), Pages);
+  EXPECT_EQ(Allocs, 0u)
+      << "materializing pages from recycled slabs heap-allocated";
 }
 
 //===----------------------------------------------------------------------===//

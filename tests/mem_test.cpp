@@ -45,6 +45,90 @@ TEST(DataMemory, UnalignedWithinPage) {
   EXPECT_EQ(M.read64(0x1003), 42u);
 }
 
+namespace {
+constexpr Addr PageSz = DataMemory::PageSize;
+uint64_t wordValue(Addr A, uint64_t Tag) {
+  return (A * 0x9E3779B97F4A7C15ull) ^ Tag;
+}
+} // namespace
+
+TEST(DataMemory, RecycledPagesReadZero) {
+  constexpr unsigned Pages = 600; // more than two 256-page slabs
+  {
+    DataMemory Dirty;
+    for (Addr A = 0; A < Pages * PageSz; A += 8)
+      Dirty.write64(0x10'0000 + A, ~0ull);
+  } // its slabs go back to the free list, every word dirty
+  DataMemory M;
+  for (unsigned P = 0; P < Pages; ++P)
+    M.write64(0x20'0000 + P * PageSz + PageSz - 8, 7);
+  ASSERT_EQ(M.numPages(), Pages);
+  unsigned NonZero = 0;
+  for (unsigned P = 0; P < Pages; ++P)
+    for (Addr Off = 0; Off + 8 < PageSz; Off += 8)
+      NonZero += M.read64(0x20'0000 + P * PageSz + Off) != 0;
+  EXPECT_EQ(NonZero, 0u) << "a recycled page kept an earlier image's bytes";
+}
+
+TEST(DataMemory, TranslationCacheSurvivesTableGrowth) {
+  // 2,000 pages grow the 1,024-slot table twice. Each write to a new page
+  // alternates with a read of the previous page, so the translation cache
+  // holds a live page whenever the table rehashes.
+  constexpr unsigned Pages = 2000;
+  constexpr Addr Base = 0x4000'0000;
+  DataMemory M;
+  for (unsigned P = 0; P < Pages; ++P) {
+    Addr Page = Base + P * PageSz;
+    EXPECT_EQ(M.read64(Page + PageSz), 0u); // an absent page is not cached
+    for (Addr Off = 0; Off < PageSz; Off += 8) {
+      M.write64(Page + Off, wordValue(Page + Off, 1));
+      if (P > 0) {
+        ASSERT_EQ(M.read64(Page - PageSz + Off),
+                  wordValue(Page - PageSz + Off, 1));
+      }
+    }
+  }
+  ASSERT_EQ(M.numPages(), Pages);
+  unsigned Wrong = 0;
+  for (Addr A = Base; A < Base + Pages * PageSz; A += 8)
+    Wrong += M.read64(A) != wordValue(A, 1);
+  EXPECT_EQ(Wrong, 0u);
+}
+
+TEST(DataMemory, LiveMemoriesNeverAliasPages) {
+  // Two live memories, as the lanes of a mix have, over the same
+  // addresses, drawing recycled slabs in interleaved order.
+  constexpr unsigned Pages = 600;
+  {
+    DataMemory Warm;
+    for (unsigned P = 0; P < Pages; ++P)
+      Warm.write64(P * PageSz, 1);
+  }
+  DataMemory A, B;
+  for (Addr Off = 0; Off < Pages * PageSz; Off += 8) {
+    A.write64(Off, wordValue(Off, 0xA));
+    B.write64(Off, wordValue(Off, 0xB));
+  }
+  unsigned Wrong = 0;
+  for (Addr Off = 0; Off < Pages * PageSz; Off += 8)
+    Wrong += (A.read64(Off) != wordValue(Off, 0xA)) +
+             (B.read64(Off) != wordValue(Off, 0xB));
+  EXPECT_EQ(Wrong, 0u) << "two live memories share a page";
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(DataMemoryDeathTest, ReadThroughDestroyedMemoryReports) {
+  // The destroyed memory's translation cache still points at its page,
+  // which now sits poisoned on the free list: the read must report
+  // instead of returning whatever a later image writes there.
+  alignas(DataMemory) unsigned char Storage[sizeof(DataMemory)];
+  DataMemory *M = new (Storage) DataMemory;
+  M->write64(0x1000, 42);
+  M->~DataMemory();
+  EXPECT_DEATH(M->read64(0x1000), "use-after-poison");
+}
+#endif
+
 //===----------------------------------------------------------------------===//
 // Cache
 //===----------------------------------------------------------------------===//

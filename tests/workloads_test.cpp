@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 using namespace trident;
@@ -80,6 +81,41 @@ TEST(Workloads, PointerArrayTargets) {
   buildPointerArray(M, 0x1000, 16, 0x8000, 64);
   for (unsigned I = 0; I < 16; ++I)
     EXPECT_EQ(M.read64(0x1000 + I * 8), 0x8000u + I * 64);
+}
+
+TEST(Workloads, InitializedImagesArePinned) {
+  // DataMemory::contentHash of every named program's image and of three
+  // fuzz scenarios (two of them build shuffled lists), recorded when the
+  // list builders still wrote links in traversal order. A builder change
+  // that alters an image fails here, even for an image no golden reads.
+  constexpr uint64_t Empty = 0xcbf29ce484222325ull; // FNV-1a offset basis
+  const std::map<std::string, uint64_t> Pinned = {
+      {"applu", Empty},
+      {"art", Empty},
+      {"dot", 0x1ed40899fe97e9f9ull},
+      {"equake", 0x8a0c7692f52e8cc6ull},
+      {"facerec", Empty},
+      {"fma3d", Empty},
+      {"galgel", Empty},
+      {"gap", 0x34f6cffcd1ca7265ull},
+      {"mcf", 0xea8b8f718783bbf9ull},
+      {"mgrid", Empty},
+      {"parser", 0x9cac688e1f1b68a9ull},
+      {"swim", Empty},
+      {"vis", 0xe5c30f19cc578e5eull},
+      {"wupwise", Empty},
+      {"fuzz@101", 0x13948762e0897169ull},
+      {"fuzz@17:wset=512,segs=8", 0xc80a9315f376ac53ull},
+      {"fuzz@12:wset=1024,entropy=650", 0x12afd4c1089856e1ull},
+  };
+  for (const std::string &Name : workloadNames())
+    EXPECT_TRUE(Pinned.count(Name)) << Name << " has no pinned image";
+  for (const auto &[Name, Hash] : Pinned) {
+    Workload W = makeWorkload(Name);
+    DataMemory M;
+    W.Init(M);
+    EXPECT_EQ(M.contentHash(), Hash) << Name;
+  }
 }
 
 // Every workload must run on the raw machine without tripping asserts and
