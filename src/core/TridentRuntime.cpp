@@ -569,9 +569,6 @@ int TridentRuntime::maxDistanceFor(const TraceMeta &M) const {
 
 int TridentRuntime::estimateDistance(const TraceMeta &M,
                                      Addr TriggerPC) const {
-  // Experimentation hook (benches/tests): force the fixed-mode distance.
-  if (const char *F = std::getenv("TRIDENT_FORCE_DISTANCE"))
-    return std::clamp(std::atoi(F), 1, Config.DistanceCap);
   // Equation 2: distance = avg load miss latency / cycles per iteration
   // (the basic, non-adaptive estimator). We divide by the watch table's
   // *minimal* execution time — the quantity the hardware actually tracks —
@@ -772,6 +769,17 @@ void TridentRuntime::finishInsertion(uint32_t TraceId, PrefetchPlan NewPlan,
   clearOptFlag(TraceId);
 }
 
+void TridentRuntime::patchPrefetchSlots(const TraceMeta &M,
+                                        const PrefetchGroup &G) {
+  // Patch the prefetch instruction bits in place — no trace regeneration.
+  for (size_t PI : G.PrefetchIdxs) {
+    Addr Slot = M.PrefetchSlotAddrs[PI];
+    if (Slot != 0)
+      CC.at(Slot).Imm =
+          PrefetchPlanner::immediateFor(M.Plan.Prefetches[PI], G.Distance);
+  }
+}
+
 void TridentRuntime::finishRepair(uint32_t TraceId, unsigned BaseIdx,
                                   Addr LoadPC) {
   TraceMeta &M = Traces[TraceId];
@@ -817,12 +825,7 @@ void TridentRuntime::finishRepair(uint32_t TraceId, unsigned BaseIdx,
     LS->BestAvgAccessLatency = -1.0;
     LS->BestDistance = G->Distance;
     LS->LastMove = +1;
-    for (size_t PI : G->PrefetchIdxs) {
-      Addr Slot = M.PrefetchSlotAddrs[PI];
-      if (Slot != 0)
-        CC.at(Slot).Imm =
-            PrefetchPlanner::immediateFor(M.Plan.Prefetches[PI], G->Distance);
-    }
+    patchPrefetchSlots(M, *G);
     ++Stats.RepairOptimizations;
     Stats.LastRepairDistance = G->Distance;
     TRIDENT_DBG("[trident] regime shift trace=%u load=0x%llx avg=%.1f "
@@ -856,14 +859,7 @@ void TridentRuntime::finishRepair(uint32_t TraceId, unsigned BaseIdx,
   LS->LastMove = Move;
   LS->LastAvgAccessLatency = CurAvg;
 
-  // Patch the prefetch instruction bits in place — no trace regeneration.
-  for (size_t PI : G->PrefetchIdxs) {
-    Addr Slot = M.PrefetchSlotAddrs[PI];
-    if (Slot == 0)
-      continue;
-    CC.at(Slot).Imm =
-        PrefetchPlanner::immediateFor(M.Plan.Prefetches[PI], G->Distance);
-  }
+  patchPrefetchSlots(M, *G);
   ++Stats.RepairOptimizations;
   Stats.LastRepairDistance = G->Distance;
   TRIDENT_DBG("[trident] repair trace=%u load=0x%llx avg=%.1f dist %d -> %d "
@@ -877,12 +873,7 @@ void TridentRuntime::finishRepair(uint32_t TraceId, unsigned BaseIdx,
     LS->Mature = true;
     if (LS->BestDistance != G->Distance) {
       G->Distance = LS->BestDistance;
-      for (size_t PI : G->PrefetchIdxs) {
-        Addr Slot = M.PrefetchSlotAddrs[PI];
-        if (Slot != 0)
-          CC.at(Slot).Imm = PrefetchPlanner::immediateFor(
-              M.Plan.Prefetches[PI], G->Distance);
-      }
+      patchPrefetchSlots(M, *G);
     }
     Dlt.forceMature(LoadPC);
     ++Stats.LoadsMatured;

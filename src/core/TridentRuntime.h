@@ -296,6 +296,9 @@ private:
                        std::vector<Addr> ClearPCs);
   void finishRepair(uint32_t TraceId, unsigned BaseIdx, Addr LoadPC);
   void finishMature(uint32_t TraceId, Addr LoadPC);
+  /// Rewrites the immediates of \p G's emitted prefetch slots in \p M for
+  /// the group's current distance.
+  void patchPrefetchSlots(const TraceMeta &M, const PrefetchGroup &G);
 
   /// Installs \p Body for \p M (allocating code cache space, repatching the
   /// entry jump, refreshing the watch table and PC maps).

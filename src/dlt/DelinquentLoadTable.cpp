@@ -104,8 +104,7 @@ bool DelinquentLoadTable::update(Addr LoadPC, Addr EffectiveAddr, bool Miss,
   // Stride prediction state updates on *every* committed instance of the
   // load, independent of the window counters (Section 3.3).
   if (E.HaveLastAddr) {
-    int64_t NewStride = static_cast<int64_t>(EffectiveAddr) -
-                        static_cast<int64_t>(E.LastAddr);
+    int64_t NewStride = addrDelta(EffectiveAddr, E.LastAddr);
     if (NewStride == E.Stride)
       E.StrideConf.add(1);
     else

@@ -113,9 +113,7 @@ void StreamBufferUnit::trainOnMiss(Addr PC, Addr ByteAddr, Cycle Now,
     if (!B.Valid || B.AllocPC != PC)
       continue;
     if (B.Stride == *Stride) {
-      int64_t Steps = (static_cast<int64_t>(ByteAddr) -
-                       static_cast<int64_t>(B.NextAddr)) /
-                      *Stride;
+      int64_t Steps = addrDelta(ByteAddr, B.NextAddr) / *Stride;
       if (Steps <= 1 && Steps >= -8 * static_cast<int64_t>(Config.Depth))
         return; // still tracking this stream
     }

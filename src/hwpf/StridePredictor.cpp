@@ -28,8 +28,7 @@ void StridePredictor::train(Addr PC, Addr ByteAddr) {
     E.Confidence.reset();
     return;
   }
-  int64_t NewStride =
-      static_cast<int64_t>(ByteAddr) - static_cast<int64_t>(E.LastAddr);
+  int64_t NewStride = addrDelta(ByteAddr, E.LastAddr);
   if (NewStride == E.Stride) {
     E.Confidence.increment();
   } else {

@@ -17,16 +17,13 @@
 #define TRIDENT_ISA_INSTRUCTION_H
 
 #include "isa/Opcode.h"
+#include "support/Types.h"
 
 #include <array>
 #include <cstdint>
 #include <string>
 
 namespace trident {
-
-/// Instruction addresses advance by one per instruction (decoded-instruction
-/// machine); data addresses are byte-granular.
-using Addr = uint64_t;
 
 struct Instruction {
   Opcode Op = Opcode::Nop;

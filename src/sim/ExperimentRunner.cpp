@@ -168,12 +168,11 @@ uint64_t trident::configFingerprint(const SimConfig &C) {
   addFaultPlan(F, C.Faults);
   addSelectorConfig(F, C.Selector);
   // Mix co-runners change the whole memory picture; the lane list (names
-  // AND order — lane index picks the address bias) and the scheduling
-  // quantum are both part of the experiment's identity.
+  // AND order — lane index picks the address bias) is part of the
+  // experiment's identity.
   F.add(C.MixWith.size());
   for (const std::string &Lane : C.MixWith)
     F.add(Lane);
-  F.add(C.MixQuantumCycles);
   return F.hash();
 }
 

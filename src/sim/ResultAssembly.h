@@ -6,12 +6,12 @@
 ///
 /// \file
 /// The shared tail of a simulation run: reading the machine back into a
-/// SimResult and snapshotting the named-statistics registry. Both the solo
-/// path (runSimulation) and the multi-programmed mix scheduler
-/// (runMixSimulation) end in exactly this code, so the only-when-on export
-/// contracts — faults.* only when something fired, selector.* only when
-/// the control plane was built, conditional event kinds — live in one
-/// place and cannot drift between the two.
+/// SimResult and snapshotting the named-statistics registry. Both the
+/// machine (sim/Machine, solo and mix runs alike) and perfbench's traced
+/// driver end in exactly this code, so the only-when-on export contracts —
+/// faults.* only when something fired, selector.* only when the control
+/// plane was built, conditional event kinds — live in one place and
+/// cannot drift between the two.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,8 +47,8 @@ struct MachineSnapshot {
 };
 
 /// Assembles the measured SimResult and its registry snapshot from \p M.
-/// \p Extra, when given, may add run-shape-specific lines (the mix
-/// scheduler's mix.* block) before the registry is frozen into the result;
+/// \p Extra, when given, may add run-shape-specific lines (the machine's
+/// mix.* block) before the registry is frozen into the result;
 /// the JSONL export sorts by name, so late additions cannot perturb the
 /// byte order of the common lines.
 SimResult

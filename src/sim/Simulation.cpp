@@ -6,12 +6,7 @@
 
 #include "sim/Simulation.h"
 
-#include "branch/BranchPredictor.h"
-#include "control/PhaseMonitor.h"
-#include "sim/MixSimulation.h"
-#include "sim/ResultAssembly.h"
-#include "support/Check.h"
-#include "trident/CodeCache.h"
+#include "sim/Machine.h"
 
 using namespace trident;
 
@@ -35,142 +30,7 @@ SimConfig SimConfig::withMode(PrefetchMode Mode) {
 
 SimResult trident::runSimulation(const Workload &W, const SimConfig &Config,
                                  EventTracer *Tracer) {
-  // Multi-programmed mixes build a different machine shape (N cores over
-  // one memory system); everything below is the solo path, untouched by
-  // the mix feature so solo runs stay bit-identical.
-  if (!Config.MixWith.empty())
-    return runMixSimulation(W, Config, Tracer);
-
-  // Build the machine.
-  Program Prog = W.Prog; // private copy: Trident patches it
-  DataMemory Data;
-  W.Init(Data);
-
-  MemorySystem Mem(Config.Mem);
-  // Resolve the prefetcher spec through the arsenal registry; the TLB
-  // model (when on) makes page-bounded units stop streams at pages. The
-  // env outlives this block: the phase monitor rebuilds units with it at
-  // every swap.
-  PrefetcherEnv Env;
-  Env.PageBounded = Config.Mem.Tlb.Enable;
-  Env.PageBits = Config.Mem.Tlb.PageBits;
-  {
-    std::string PfError;
-    std::unique_ptr<HwPrefetcher> Unit =
-        PrefetcherRegistry::instance().create(Config.HwPf, Env, &PfError);
-    TRIDENT_CHECK(Unit || PrefetcherRegistry::isNone(Config.HwPf),
-                  "bad --hwpf spec '%s': %s", Config.HwPf.c_str(),
-                  PfError.c_str());
-    if (Unit)
-      Mem.attachPrefetcher(std::move(Unit));
-  }
-
-  // An enabled selector needs the feedback heartbeat; a local copy keeps
-  // the caller's config untouched (the memo-cache fingerprint must stay
-  // stable across runSimulation).
-  CoreConfig CoreCfg = Config.Core;
-  if (Config.Selector.enabled() && CoreCfg.HwPfFeedbackIntervalCommits == 0)
-    CoreCfg.HwPfFeedbackIntervalCommits = Config.Selector.IntervalCommits;
-
-  CodeCache CC;
-  CodeImage Image(Prog, CC);
-  SmtCore Core(CoreCfg, Image, Data, Mem);
-  MetaPredictor Predictor;
-  Core.setBranchPredictor(&Predictor);
-
-  // The event bus: the core publishes its commit/load/branch stream into
-  // it; the Trident runtime's monitors and any observability sinks
-  // subscribe. Subscribe the runtime first — monitor dispatch order is
-  // load-bearing, the tracer is passive and rides behind.
-  EventBus Bus;
-  Core.setEventBus(&Bus);
-
-  std::unique_ptr<TridentRuntime> Runtime;
-  if (Config.EnableTrident) {
-    RuntimeConfig RC = Config.Runtime;
-    RC.MemoryLatency = Config.Mem.MemoryLatency;
-    RC.L1HitLatency = Config.Mem.L1.HitLatency;
-    Runtime = std::make_unique<TridentRuntime>(RC, Prog, Core, CC);
-    Runtime->attach(Bus);
-  }
-  // The control plane: constructed only when a selector policy is on, so
-  // static runs build exactly the pre-control-plane machine. Subscribed
-  // after the runtime's monitors (they never touch the HwPfFeedback kind,
-  // but keeping one subscription order is cheap insurance) and before the
-  // injector, so a fault landing on the same cycle perturbs the post-
-  // decision machine.
-  std::unique_ptr<PhaseMonitor> Monitor;
-  if (Config.Selector.enabled()) {
-    Monitor = std::make_unique<PhaseMonitor>(Config.Selector, Mem, Env,
-                                             Config.HwPf);
-    Monitor->attach(Bus);
-  }
-  // Fault injection: constructed only for a non-empty plan, so fault-free
-  // runs build exactly the pre-fault-injection machine. Subscribed after
-  // the runtime's monitors (the injector perturbs state between events,
-  // never inside the monitors' view of one) and before the tracer.
-  std::unique_ptr<FaultInjector> Injector;
-  if (!Config.Faults.empty()) {
-    FaultTargets Targets;
-    Targets.Mem = &Mem;
-    Targets.Runtime = Runtime.get();
-    Injector = std::make_unique<FaultInjector>(Config.Faults, Targets);
-    Injector->attach(Bus);
-  }
-  // The tracer is a passive flight recorder, so it rides the deferred
-  // (batched) dispatch path: the core's hot loop stages a copy per event
-  // and the tracer sees kind-ordered blocks instead of costing a virtual
-  // call inside the issue loop.
-  if (Tracer)
-    Bus.subscribeDeferred(Tracer, Tracer->mask());
-
-  Core.startContext(0, Prog.entryPC());
-
-  // Warmup: caches and predictors train; dynamic optimization disabled
-  // (Section 4.2).
-  if (Config.WarmupInstructions > 0) {
-    SmtCore::StopReason R = Core.run(Config.WarmupInstructions);
-    TRIDENT_CHECK(R != SmtCore::StopReason::CycleLimit,
-                  "warmup of %llu instructions hit the cycle cap",
-                  (unsigned long long)Config.WarmupInstructions);
-    (void)R;
-  }
-  if (Runtime)
-    Runtime->setEnabled(true);
-
-  // Measurement window.
-  Core.clearStats();
-  Mem.clearStats();
-  Bus.clearCounts();
-  if (Runtime)
-    Runtime->clearStats();
-  // After Mem.clearStats(): the monitor's delta baselines re-zero with
-  // the counters they shadow (the policy keeps its warmup learning).
-  if (Monitor)
-    Monitor->onMeasurementStart();
-  Cycle Start = Core.now();
-  SmtCore::StopReason Stop = Core.run(Config.SimInstructions);
-  Cycle End = Core.now();
-  // Deliver any staged partial block before sinks are read or destroyed.
-  Bus.flush();
-  // The measurement window runs strictly forward from the warmed-up state
-  // (cycle-counter monotonicity across the warmup/measure boundary).
-  TRIDENT_CHECK(End >= Start,
-                "measurement window ran backwards: start %llu, end %llu",
-                (unsigned long long)Start, (unsigned long long)End);
-
-  MachineSnapshot M;
-  M.W = &W;
-  M.Config = &Config;
-  M.CoreCfg = &CoreCfg;
-  M.Core = &Core;
-  M.Mem = &Mem;
-  M.Bus = &Bus;
-  M.Runtime = Runtime.get();
-  M.Injector = Injector.get();
-  M.Monitor = Monitor.get();
-  M.Start = Start;
-  M.End = End;
-  M.Stop = Stop;
-  return assembleSimResult(M);
+  Machine M(W, Config, Tracer);
+  M.warmup();
+  return M.measure();
 }

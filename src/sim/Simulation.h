@@ -1,14 +1,15 @@
-//===- Simulation.h - Full-system wiring and experiment runner -*- C++ -*-===//
+//===- Simulation.h - Experiment configuration and results -----*- C++ -*-===//
 //
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Wires the whole machine together — SMT core, memory system, optional
-/// hardware stream-buffer prefetcher, branch predictor, and the Trident
-/// runtime with the self-repairing prefetcher — and runs one workload
-/// under one configuration, reproducing the paper's methodology
+/// One experiment: a machine configuration (SMT core, memory system,
+/// optional hardware prefetcher, the Trident runtime with the
+/// self-repairing prefetcher, co-runners), what a run of it measured, and
+/// runSimulation, which builds the machine (sim/Machine.h) and runs one
+/// workload under one configuration, reproducing the paper's methodology
 /// (Section 4): warm up with monitoring disabled, then measure a fixed
 /// budget of committed *original* instructions.
 ///
@@ -67,15 +68,8 @@ struct SimConfig {
   /// primary on private cores that share this config's memory system —
   /// cache capacity, MSHRs, bus bandwidth, and the hardware prefetcher.
   /// Empty (the default) runs the solo path, bit-identical to builds that
-  /// predate mixes. See sim/MixSimulation.h and DESIGN.md §16.
+  /// predate mixes. See sim/Machine.h and DESIGN.md §16.
   std::vector<std::string> MixWith;
-  /// Mix co-scheduling quantum: each lane advances until its local clock
-  /// reaches the shared boundary, which then moves forward by this many
-  /// cycles. Lanes later in a round queue behind bus/MSHR reservations
-  /// the earlier lanes already made up to the boundary, so large quanta
-  /// skew bandwidth toward the primary; 1000 cycles interleaves fairly at
-  /// modest host cost. Part of the config fingerprint.
-  Cycle MixQuantumCycles = 1'000;
 
   /// The paper's baseline: 8x8 stream buffers, no software prefetching.
   static SimConfig hwBaseline();

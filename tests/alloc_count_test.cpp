@@ -20,20 +20,13 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "branch/BranchPredictor.h"
-#include "core/TridentRuntime.h"
-#include "events/EventBus.h"
-#include "hwpf/StreamBuffer.h"
-#include "mem/MemorySystem.h"
-#include "sim/Simulation.h"
-#include "trident/CodeCache.h"
+#include "sim/Machine.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
-#include <memory>
 #include <new>
 
 //===----------------------------------------------------------------------===//
@@ -86,46 +79,12 @@ template <typename Fn> uint64_t countedAllocs(Fn &&Body) {
   return GAllocs.load(std::memory_order_relaxed);
 }
 
-uint64_t countedRun(SmtCore &Core, uint64_t Instructions) {
-  return countedAllocs([&] { Core.run(Instructions); });
+/// Runs the warmed-up machine runSimulation builds for \p Instructions,
+/// counting allocations in exactly that core().run and nothing else
+/// (result assembly allocates by design).
+uint64_t countedRun(Machine &M, uint64_t Instructions) {
+  return countedAllocs([&] { M.core().run(Instructions); });
 }
-
-/// Replicates runSimulation's machine wiring (Simulation.cpp) with the
-/// seams exposed, so the counting window can wrap exactly the measured
-/// Core.run and nothing else.
-struct Machine {
-  Program Prog;
-  DataMemory Data;
-  MemorySystem Mem;
-  CodeCache CC;
-  CodeImage Image;
-  SmtCore Core;
-  MetaPredictor Predictor;
-  EventBus Bus;
-  std::unique_ptr<TridentRuntime> Runtime;
-
-  explicit Machine(const Workload &W, const SimConfig &Config)
-      : Prog(W.Prog), Mem(Config.Mem), Image(Prog, CC),
-        Core(Config.Core, Image, Data, Mem) {
-    W.Init(Data);
-    std::string PfError;
-    std::unique_ptr<HwPrefetcher> Unit = PrefetcherRegistry::instance().create(
-        Config.HwPf, PrefetcherEnv{}, &PfError);
-    EXPECT_TRUE(Unit || PrefetcherRegistry::isNone(Config.HwPf)) << PfError;
-    if (Unit)
-      Mem.attachPrefetcher(std::move(Unit));
-    Core.setBranchPredictor(&Predictor);
-    Core.setEventBus(&Bus);
-    if (Config.EnableTrident) {
-      RuntimeConfig RC = Config.Runtime;
-      RC.MemoryLatency = Config.Mem.MemoryLatency;
-      RC.L1HitLatency = Config.Mem.L1.HitLatency;
-      Runtime = std::make_unique<TridentRuntime>(RC, Prog, Core, CC);
-      Runtime->attach(Bus);
-    }
-    Core.startContext(0, Prog.entryPC());
-  }
-};
 
 } // namespace
 
@@ -137,13 +96,14 @@ TEST(AllocCount, HardwareBaselineSteadyStateIsAllocFree) {
   // A memory-bound and a compute-bound workload cover both ends of the
   // hardware path (stream-buffer churn vs issue-limited ALU work).
   for (const char *Name : {"mcf", "dot", "equake", "swim"}) {
-    Machine M(makeWorkload(Name), SimConfig::hwBaseline());
     // Warmup long enough that the working set's pages, the stream-buffer
     // rings, and the ROB heap all reach their steady-state footprint.
-    M.Core.run(150'000);
-    M.Core.clearStats();
-    M.Mem.clearStats();
-    uint64_t Allocs = countedRun(M.Core, 40'000);
+    const Workload W = makeWorkload(Name);
+    SimConfig C = SimConfig::hwBaseline();
+    C.WarmupInstructions = 150'000;
+    Machine M(W, C);
+    M.warmup();
+    uint64_t Allocs = countedRun(M, 40'000);
     EXPECT_EQ(Allocs, 0u)
         << Name << ": the pure-hardware measurement window heap-allocated "
         << Allocs << " time(s); the cycle loop must be allocation-free";
@@ -175,22 +135,20 @@ TEST(AllocCount, RecycledSlabHandoutIsAllocFree) {
 //===----------------------------------------------------------------------===//
 
 TEST(AllocCount, TridentAllocationsScaleWithOptimizerEventsNotCycles) {
-  Machine M(makeWorkload("mcf"),
-            SimConfig::withMode(PrefetchMode::SelfRepairing));
-  M.Core.run(100'000);
-  M.Runtime->setEnabled(true);
-  M.Core.clearStats();
-  M.Mem.clearStats();
-  M.Bus.clearCounts();
-  M.Runtime->clearStats();
-  uint64_t Allocs = countedRun(M.Core, 40'000);
+  const Workload W = makeWorkload("mcf");
+  SimConfig C = SimConfig::withMode(PrefetchMode::SelfRepairing);
+  C.WarmupInstructions = 100'000;
+  Machine M(W, C);
+  M.warmup();
+  uint64_t Allocs = countedRun(M, 40'000);
 
   // Everything the optimizer did in the window, at event granularity.
-  uint64_t Activity = M.Bus.published(EventKind::HotTrace) +
-                      M.Bus.published(EventKind::DelinquentLoad) +
-                      M.Bus.published(EventKind::HelperDone) +
-                      M.Bus.published(EventKind::TraceEntry) +
-                      M.Bus.published(EventKind::TraceExit);
+  const EventBus &Bus = M.bus();
+  uint64_t Activity = Bus.published(EventKind::HotTrace) +
+                      Bus.published(EventKind::DelinquentLoad) +
+                      Bus.published(EventKind::HelperDone) +
+                      Bus.published(EventKind::TraceEntry) +
+                      Bus.published(EventKind::TraceExit);
   // Generous per-event constant (a trace formation allocates a body, a
   // plan, emission bookkeeping...), but strictly event-proportional: a
   // per-cycle or per-instruction leak blows through this immediately
@@ -201,7 +159,7 @@ TEST(AllocCount, TridentAllocationsScaleWithOptimizerEventsNotCycles) {
       << ") exceed the activity-proportional budget (" << Bound << " for "
       << Activity << " optimizer events)";
 
-  uint64_t Commits = M.Core.stats(0).CommittedOriginal;
+  uint64_t Commits = M.core().stats(0).CommittedOriginal;
   EXPECT_LT(Allocs, Commits / 4)
       << "allocation count looks per-instruction, not per-optimizer-event";
 }

@@ -4,11 +4,14 @@
 //
 // Pins five seeded fuzz scenarios — spread across the generator's knob
 // space — to committed stat snapshots, exactly like golden_stats_test does
-// for the 14 named workloads. Each snapshot includes the generator's
+// for the 14 named workloads. Each fuzz snapshot includes the generator's
 // workload.program_hash line, so a golden match certifies BOTH that the
 // generator still emits the same program for the seed AND that the machine
-// still executes it to the same statistics. Refresh intentionally via
-// tools/update_goldens.sh (TRIDENT_UPDATE_GOLDENS regenerates here too).
+// still executes it to the same statistics. Two multi-programmed mixes ride
+// in the same table, pinning the co-lane scheduler, the shared memory
+// system and (in the four-lane row) the selector's monitor across
+// revisions. Refresh intentionally via tools/update_goldens.sh
+// (TRIDENT_UPDATE_GOLDENS regenerates here too).
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +26,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #ifndef TRIDENT_GOLDEN_DIR
 #error "TRIDENT_GOLDEN_DIR must be defined by the build"
@@ -32,31 +36,47 @@ using namespace trident;
 
 namespace {
 
-/// One corpus scenario: a canonical fuzz spec and the snapshot filename it
-/// pins (spec punctuation would make awkward filenames, so snapshots are
-/// keyed by seed).
+/// One corpus scenario: a canonical workload spec and the snapshot filename
+/// it pins (spec punctuation would make awkward filenames, so fuzz
+/// snapshots are keyed by seed). Mix rows also name their co-runners, the
+/// initial prefetcher unit and a selector spec.
 struct Scenario {
   const char *Spec;
   const char *File;
+  std::vector<std::string> MixWith = {};
+  const char *HwPf = "sb8x8";
+  const char *Selector = "";
 };
 
 /// The corpus spreads the knob space: defaults, a small working set, high
 /// entropy + heavy branching, many segments with fast phase changes, and
-/// many streams over a large working set.
-constexpr Scenario kCorpus[] = {
+/// many streams over a large working set. Then two mixes: mcf against art
+/// (mix_determinism_test's pairing), and a fuzzed primary with three
+/// co-runners under dcpt and the bandit selector.
+const Scenario kCorpus[] = {
     {"fuzz@101", "fuzz_101"},
     {"fuzz@102:wset=2048", "fuzz_102"},
     {"fuzz@103:entropy=800,branch=500", "fuzz_103"},
     {"fuzz@104:segs=5,phase=1500", "fuzz_104"},
     {"fuzz@105:wset=16384,streams=10", "fuzz_105"},
+    {"mcf", "mix_mcf_art", {"art"}},
+    {"fuzz@106", "mix_fuzz_106",
+     {"art", "fuzz@107:wset=512,segs=8", "swim"}, "dcpt", "bandit"},
 };
 
 /// Same budget and mode as golden_stats_test, so the two corpora exercise
 /// the same machine shape.
-SimConfig goldenConfig() {
+SimConfig goldenConfig(const Scenario &S) {
   SimConfig C = SimConfig::withMode(PrefetchMode::SelfRepairing);
   C.SimInstructions = 40'000;
   C.WarmupInstructions = 10'000;
+  C.MixWith = S.MixWith;
+  C.HwPf = S.HwPf;
+  if (*S.Selector) {
+    std::string Error;
+    EXPECT_TRUE(SelectorConfig::parse(S.Selector, C.Selector, &Error))
+        << Error;
+  }
   return C;
 }
 
@@ -90,13 +110,16 @@ TEST(FuzzGolden, CorpusMatchesCommittedSnapshots) {
     // The corpus lists canonical specs, so the resolved name round-trips;
     // a mismatch means the canonical knob order changed under the corpus.
     ASSERT_EQ(W.Name, S.Spec);
-    SimResult R = runSimulation(W, goldenConfig());
+    SimResult R = runSimulation(W, goldenConfig(S));
     ASSERT_TRUE(R.Registry) << S.Spec;
-    // The snapshot pins the generator output itself, not just its
+    ASSERT_EQ(R.MixLanes.size(), S.MixWith.size()) << S.Spec;
+    // A fuzz snapshot pins the generator output itself, not just its
     // execution: the hash must be exported and match the workload's.
-    ASSERT_TRUE(R.Registry->has("workload.program_hash")) << S.Spec;
-    ASSERT_EQ(R.Registry->counter("workload.program_hash"), W.ProgramHash)
-        << S.Spec;
+    if (isFuzzSpec(S.Spec)) {
+      ASSERT_TRUE(R.Registry->has("workload.program_hash")) << S.Spec;
+      ASSERT_EQ(R.Registry->counter("workload.program_hash"), W.ProgramHash)
+          << S.Spec;
+    }
     const std::string Actual = R.Registry->toJsonl();
 
     if (Update) {

@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "sim/ExperimentRunner.h"
+#include "sim/Machine.h"
 #include "sim/Simulation.h"
 #include "workloads/Workloads.h"
 #include "workloads/fuzz/FuzzGenerator.h"
@@ -249,7 +250,7 @@ TEST(FuzzScenario, FuzzedMixesHoldTheSoloInvariants) {
   // ...and lane clocks stay within one quantum of the primary's window
   // (the round-robin boundary contract).
   for (const SimResult::MixLane &L : A.MixLanes)
-    EXPECT_LE(L.Cycles, A.Cycles + 2 * C.MixQuantumCycles) << L.Workload;
+    EXPECT_LE(L.Cycles, A.Cycles + 2 * kMixQuantumCycles) << L.Workload;
   ASSERT_TRUE(A.Registry && B.Registry);
   EXPECT_EQ(A.Registry->toJsonl(), B.Registry->toJsonl());
 }

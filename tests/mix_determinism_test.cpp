@@ -3,7 +3,7 @@
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
 // The determinism contract extended to multi-programmed mixes: the same
-// primary + co-runner set + quantum must produce byte-identical registry
+// primary + co-runner set must produce byte-identical registry
 // exports (a) across repeated runs in one process, (b) under the serial
 // and the parallel experiment runner (TRIDENT_BENCH_JOBS=1 vs =4), and
 // (c) the solo path must be untouched by the mix machinery — a config

@@ -50,9 +50,6 @@ void usage(const char *Prog) {
       "                         primary (full Trident wiring), the rest are\n"
       "                         raw co-runners contending for the shared\n"
       "                         memory system; names or fuzz specs\n"
-      "  --mix-quantum N        mix co-scheduling quantum in cycles\n"
-      "                         (default 1000; larger skews bandwidth\n"
-      "                         toward the primary lane)\n"
       "  --mode MODE            hw | none | basic | whole-object |\n"
       "                         self-repairing   (default self-repairing;\n"
       "                         'hw' disables Trident entirely)\n"
@@ -222,7 +219,6 @@ void printStats(const SimResult &R, bool Verbose) {
 int main(int argc, char **argv) {
   std::string WorkloadName;
   std::string FuzzSpec, MixSpec;
-  uint64_t MixQuantum = 1'000;
   std::string Mode = "self-repairing";
   std::string HwPf = "sb8x8";
   std::string Selector;
@@ -254,8 +250,6 @@ int main(int argc, char **argv) {
       FuzzSpec = needValue(I);
     else if (!std::strcmp(A, "--mix"))
       MixSpec = needValue(I);
-    else if (!std::strcmp(A, "--mix-quantum"))
-      MixQuantum = std::strtoull(needValue(I), nullptr, 10);
     else if (!std::strcmp(A, "--mode"))
       Mode = needValue(I);
     else if (!std::strcmp(A, "--hwpf"))
@@ -443,12 +437,7 @@ int main(int argc, char **argv) {
   C.Runtime.Dlt.MonitorWindow = Window;
   C.Runtime.Dlt.MissThreshold = MissThreshold;
   C.Runtime.DistanceCap = DistanceCap;
-  if (MixQuantum == 0) {
-    std::fprintf(stderr, "error: --mix-quantum must be positive\n");
-    return 2;
-  }
   C.MixWith = MixCoRunners;
-  C.MixQuantumCycles = MixQuantum;
 
   if (!FaultsPath.empty()) {
     std::ifstream In(FaultsPath);
@@ -477,7 +466,7 @@ int main(int argc, char **argv) {
     std::printf("mix co-runners:");
     for (const std::string &L : MixCoRunners)
       std::printf(" %s", L.c_str());
-    std::printf(" (quantum %llu cycles)\n", (unsigned long long)MixQuantum);
+    std::printf("\n");
   }
   std::printf("\n");
 
