@@ -133,9 +133,11 @@ static void BM_SimulatorThroughput(benchmark::State &State) {
 BENCHMARK(BM_SimulatorThroughput)->Unit(benchmark::kMillisecond);
 
 static void BM_WorkloadImage(benchmark::State &State, const char *Name) {
-  // The per-job set-up cost of one data image: materialize, initialize and
-  // destroy it. After the first iteration, pages come from the slabs the
-  // previous image returned, as they do for later jobs of a batch.
+  // The per-job set-up cost of one data image: declare it and destroy it.
+  // Declaring writes only the shuffled lists (dot's, here) and reserves
+  // room for every other page; no page is filled until a run touches it.
+  // After the first iteration, slabs come from the free list the previous
+  // image returned them to, as they do for later jobs of a batch.
   Workload W = makeWorkload(Name);
   for (auto _ : State) {
     DataMemory M;

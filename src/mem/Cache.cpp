@@ -88,7 +88,8 @@ Cache::LineIdx Cache::peek(Addr LineAddr) const {
   return NoLine;
 }
 
-void Cache::insert(Addr LineAddr, Cycle FillReady, bool Prefetched) {
+Cache::LineIdx Cache::insert(Addr LineAddr, Cycle FillReady,
+                            bool Prefetched) {
   TRIDENT_DCHECK((LineAddr & (Config.LineSize - 1)) == 0,
                  "unaligned %s line address 0x%llx (line size %u)",
                  Config.Name.c_str(), (unsigned long long)LineAddr,
@@ -116,7 +117,7 @@ void Cache::insert(Addr LineAddr, Cycle FillReady, bool Prefetched) {
     }
     if (T == Tag) {
       LastUseArr[I] = ++UseClock;
-      return;
+      return I;
     }
     if (!HaveInvalid && LastUseArr[I] < LastUseArr[Victim])
       Victim = I;
@@ -134,6 +135,7 @@ void Cache::insert(Addr LineAddr, Cycle FillReady, bool Prefetched) {
   FlagsArr[Victim] =
       static_cast<uint8_t>(Prefetched ? kPrefetched | kUntouched : 0);
   LastUseArr[Victim] = ++UseClock;
+  return Victim;
 }
 
 uint64_t Cache::invalidateRange(Addr Lo, Addr Hi) {

@@ -59,7 +59,8 @@ public:
   /// data arrives; \p Prefetched tags prefetch-initiated fills. If the
   /// insertion displaces a valid demand-touched line *because of a
   /// prefetch*, the victim tag is remembered for pollution attribution.
-  void insert(Addr LineAddr, Cycle FillReady, bool Prefetched);
+  /// Returns the line filled, or refreshed when it was already present.
+  LineIdx insert(Addr LineAddr, Cycle FillReady, bool Prefetched);
 
   /// Per-line state accessors for a handle returned by lookup()/peek().
   Cycle fillReady(LineIdx I) const { return FillReadyArr[I]; }

@@ -6,9 +6,11 @@
 
 #include "mem/DataMemory.h"
 
+#include "support/Check.h"
+
 #include <algorithm>
+#include <cstdint>
 #include <mutex>
-#include <utility>
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
@@ -41,6 +43,19 @@ struct DataMemory::SlabPool {
     static SlabPool &P = *new SlabPool;
     return P;
   }
+
+  /// Pops a free slab, or allocates one when the list is empty.
+  Slab *take() {
+    {
+      std::lock_guard<std::mutex> L(Mu);
+      if (Slab *S = Free) {
+        Free = S->Next;
+        S->Next = nullptr;
+        return S;
+      }
+    }
+    return new Slab;
+  }
 };
 
 static size_t hashKey(uint64_t Key) {
@@ -58,38 +73,56 @@ DataMemory::~DataMemory() {
     return;
   // Poisoned while free: a read through a destroyed memory's page reports
   // under ASan instead of reading whatever image recycles the page.
-  Slab *Last = Slabs;
-  for (Slab *S = Slabs; S; S = S->Next) {
+  for (Slab *S = Slabs; S; S = S->Next)
     ASAN_POISON_MEMORY_REGION(S->Pages, sizeof(S->Pages));
-    Last = S;
-  }
+  // In hand-out order, spare slabs last: the next memory hands out pages
+  // this one faulted in before any it never touched.
   SlabPool &Pool = SlabPool::instance();
   std::lock_guard<std::mutex> L(Pool.Mu);
-  Last->Next = Pool.Free;
+  LastSlab->Next = Pool.Free;
   Pool.Free = Slabs;
 }
 
-const DataMemory::Page *DataMemory::findPage(Addr A) const {
+size_t DataMemory::slotOf(uint64_t Key) const {
+  const size_t Mask = Keys.size() - 1;
+  size_t I = hashKey(Key) & Mask;
+  while (Keys[I] != 0 && Keys[I] != Key)
+    I = (I + 1) & Mask;
+  return I;
+}
+
+DataMemory::Page *DataMemory::lookupPage(Addr A, bool Create) {
   const uint64_t Key = (A >> PageBits) + 1;
   if (Key == CachedKey)
     return CachedPage;
-  const size_t Mask = Keys.size() - 1;
-  for (size_t I = hashKey(Key) & Mask;; I = (I + 1) & Mask) {
-    if (Keys[I] == Key) {
-      CachedKey = Key;
-      CachedPage = Slots[I];
-      return CachedPage;
-    }
-    if (Keys[I] == 0)
+  size_t I = slotOf(Key);
+  if (Keys[I] != Key) {
+    const bool Declared = declares(Key - 1);
+    if (!Create && !Declared)
       return nullptr;
+    if (Declared && Reserved > 0)
+      --Reserved;
+    const size_t TableSize = Keys.size();
+    reserve(Reserved + 1); // a no-op for a declared page
+    if (Keys.size() != TableSize)
+      I = slotOf(Key);
+    Page *P = allocPage();
+    if (Declared)
+      fillDeclared(Key - 1, *P);
+    Keys[I] = Key;
+    Slots[I] = P;
+    ++NumPages;
   }
+  CachedKey = Key;
+  CachedPage = Slots[I];
+  return CachedPage;
 }
 
-uint64_t DataMemory::read64(Addr A) const {
+uint64_t DataMemory::read64(Addr A) {
   // Fast path: the access stays within one page.
   size_t Off = A & (PageSize - 1);
   if (Off + 8 <= PageSize) {
-    const Page *P = findPage(A);
+    const Page *P = lookupPage(A, /*Create=*/false);
     if (!P)
       return 0;
     uint64_t V;
@@ -99,7 +132,7 @@ uint64_t DataMemory::read64(Addr A) const {
   // Page-straddling access: assemble byte by byte.
   uint64_t V = 0;
   for (unsigned I = 0; I < 8; ++I) {
-    const Page *P = findPage(A + I);
+    const Page *P = lookupPage(A + I, /*Create=*/false);
     uint8_t B = P ? (*P)[(A + I) & (PageSize - 1)] : 0;
     V |= static_cast<uint64_t>(B) << (8 * I);
   }
@@ -109,33 +142,36 @@ uint64_t DataMemory::read64(Addr A) const {
 void DataMemory::write64(Addr A, uint64_t Value) {
   size_t Off = A & (PageSize - 1);
   if (Off + 8 <= PageSize) {
-    Page &P = getOrCreatePage(A);
+    Page &P = *lookupPage(A, /*Create=*/true);
     std::memcpy(P.data() + Off, &Value, 8);
     return;
   }
   for (unsigned I = 0; I < 8; ++I) {
-    Page &P = getOrCreatePage(A + I);
+    Page &P = *lookupPage(A + I, /*Create=*/true);
     P[(A + I) & (PageSize - 1)] = static_cast<uint8_t>(Value >> (8 * I));
   }
 }
 
+void DataMemory::reserve(size_t Pages) {
+  // Keep the load factor under 3/4 so probe chains stay short.
+  while ((NumPages + Pages) * 4 > Keys.size() * 3)
+    grow();
+  while (FreePages < Pages) {
+    Slab *S = SlabPool::instance().take();
+    (Slabs ? LastSlab->Next : Slabs) = S;
+    LastSlab = S;
+    FreePages += SlabPages;
+  }
+}
+
 DataMemory::Page *DataMemory::allocPage() {
+  TRIDENT_DCHECK(FreePages > 0, "reserve() must leave room for every page");
   if (SlabUsed == SlabPages) {
-    SlabPool &Pool = SlabPool::instance();
-    Slab *S = nullptr;
-    {
-      std::lock_guard<std::mutex> L(Pool.Mu);
-      S = Pool.Free;
-      if (S)
-        Pool.Free = S->Next;
-    }
-    if (!S)
-      S = new Slab;
-    S->Next = Slabs;
-    Slabs = S;
+    Current = Current ? Current->Next : Slabs;
     SlabUsed = 0;
   }
-  Page *P = &Slabs->Pages[SlabUsed++];
+  --FreePages;
+  Page *P = &Current->Pages[SlabUsed++];
   ASAN_UNPOISON_MEMORY_REGION(P, sizeof(Page));
   P->fill(0);
   return P;
@@ -146,59 +182,116 @@ void DataMemory::grow() {
   std::vector<Page *> OldSlots(Slots.size() * 2, nullptr);
   OldKeys.swap(Keys);
   OldSlots.swap(Slots);
-  const size_t Mask = Keys.size() - 1;
   for (size_t From = 0; From < OldKeys.size(); ++From) {
     if (OldKeys[From] == 0)
       continue;
-    size_t I = hashKey(OldKeys[From]) & Mask;
-    while (Keys[I] != 0)
-      I = (I + 1) & Mask;
+    size_t I = slotOf(OldKeys[From]);
     Keys[I] = OldKeys[From];
     Slots[I] = OldSlots[From];
   }
 }
 
-DataMemory::Page &DataMemory::getOrCreatePage(Addr A) {
-  const uint64_t Key = (A >> PageBits) + 1;
-  if (Key == CachedKey)
-    return *CachedPage;
-  size_t Mask = Keys.size() - 1;
-  size_t I = hashKey(Key) & Mask;
-  while (Keys[I] != 0) {
-    if (Keys[I] == Key) {
-      CachedKey = Key;
-      CachedPage = Slots[I];
-      return *CachedPage;
+//===----------------------------------------------------------------------===//
+// Declared words
+//===----------------------------------------------------------------------===//
+
+std::pair<uint64_t, uint64_t> DataMemory::wordsOn(const Declaration &D,
+                                                  uint64_t Vpn) {
+  // Word I covers [Base + I*Stride, +8); the page covers [P0, P0+PageSize).
+  const Addr P0 = Vpn << PageBits;
+  const uint64_t Lo = P0 < D.Base + 8 ? 0 : (P0 - 8 - D.Base) / D.Stride + 1;
+  uint64_t Hi = 0;
+  if (P0 + PageSize > D.Base) {
+    const uint64_t Span = P0 + PageSize - D.Base;
+    Hi = std::min(D.Count, Span / D.Stride + (Span % D.Stride != 0));
+  }
+  return {Lo, Hi};
+}
+
+void DataMemory::applyWords(const Declaration &D, uint64_t Vpn, Page &P) {
+  const Addr P0 = Vpn << PageBits;
+  const auto [Lo, Hi] = wordsOn(D, Vpn);
+  for (uint64_t I = Lo; I < Hi; ++I) {
+    const Addr W = D.Base + I * D.Stride;
+    const uint64_t V = D.Value(I);
+    if (W >= P0 && W - P0 + 8 <= PageSize) {
+      std::memcpy(P.data() + (W - P0), &V, 8);
+      continue;
     }
-    I = (I + 1) & Mask;
+    // A word straddling the page boundary: keep the bytes on this page.
+    for (unsigned B = 0; B < 8; ++B)
+      if (W + B - P0 < PageSize)
+        P[W + B - P0] = static_cast<uint8_t>(V >> (8 * B));
   }
-  // Keep the load factor under 3/4 so probe chains stay short.
-  if ((NumPages + 1) * 4 > Keys.size() * 3) {
-    grow();
-    Mask = Keys.size() - 1;
-    I = hashKey(Key) & Mask;
-    while (Keys[I] != 0)
-      I = (I + 1) & Mask;
+}
+
+bool DataMemory::overlaps(const Declaration &D, uint64_t Vpn) {
+  if (Vpn < D.FirstVpn || Vpn > D.LastVpn)
+    return false;
+  const auto [Lo, Hi] = wordsOn(D, Vpn);
+  return Lo < Hi;
+}
+
+bool DataMemory::declares(uint64_t Vpn) const {
+  return std::any_of(Decls.begin(), Decls.end(),
+                     [Vpn](const Declaration &D) { return overlaps(D, Vpn); });
+}
+
+void DataMemory::fillDeclared(uint64_t Vpn, Page &P) const {
+  for (const Declaration &D : Decls)
+    if (Vpn >= D.FirstVpn && Vpn <= D.LastVpn)
+      applyWords(D, Vpn, P);
+}
+
+void DataMemory::declareWords(Addr Base, uint64_t Count, uint64_t Stride,
+                              std::function<uint64_t(uint64_t)> Value) {
+  TRIDENT_CHECK(Stride >= 8, "declared words overlap: stride %llu",
+                static_cast<unsigned long long>(Stride));
+  if (Count == 0)
+    return;
+  // The last word must end below the top page, so page arithmetic on the
+  // declaration never wraps.
+  const uint64_t Limit = UINT64_MAX - PageSize - 8;
+  TRIDENT_CHECK(Base <= Limit && (Count - 1) <= (Limit - Base) / Stride,
+                "declared words run past the address space");
+  Declaration D{Base, Count, Stride, std::move(Value), Base >> PageBits,
+                (Base + (Count - 1) * Stride + 7) >> PageBits};
+  size_t Absent = 0;
+  for (uint64_t Vpn = D.FirstVpn; Vpn <= D.LastVpn; ++Vpn) {
+    if (!overlaps(D, Vpn))
+      continue;
+    if (Page *P = findPage(Vpn + 1))
+      applyWords(D, Vpn, *P);
+    else
+      ++Absent;
   }
-  Page *P = allocPage();
-  Keys[I] = Key;
-  Slots[I] = P;
-  ++NumPages;
-  CachedKey = Key;
-  CachedPage = P;
-  return *P;
+  Decls.push_back(std::move(D));
+  Reserved += Absent;
+  reserve(Reserved);
 }
 
 uint64_t DataMemory::contentHash() const {
-  std::vector<std::pair<uint64_t, const Page *>> ByVpn;
-  ByVpn.reserve(NumPages);
-  for (size_t I = 0; I < Keys.size(); ++I)
-    if (Keys[I] != 0)
-      ByVpn.emplace_back(Keys[I] - 1, Slots[I]);
-  std::sort(ByVpn.begin(), ByVpn.end());
+  std::vector<uint64_t> Vpns;
+  Vpns.reserve(NumPages);
+  for (uint64_t Key : Keys)
+    if (Key != 0)
+      Vpns.push_back(Key - 1);
+  for (const Declaration &D : Decls)
+    for (uint64_t Vpn = D.FirstVpn; Vpn <= D.LastVpn; ++Vpn)
+      if (overlaps(D, Vpn))
+        Vpns.push_back(Vpn);
+  std::sort(Vpns.begin(), Vpns.end());
+  Vpns.erase(std::unique(Vpns.begin(), Vpns.end()), Vpns.end());
   uint64_t H = 0xcbf29ce484222325ull;
   auto fold = [&H](uint8_t B) { H = (H ^ B) * 1099511628211ull; };
-  for (const auto &[Vpn, P] : ByVpn) {
+  Page Scratch;
+  for (uint64_t Vpn : Vpns) {
+    const Page *P = findPage(Vpn + 1);
+    if (!P) {
+      Scratch.fill(0);
+      fillDeclared(Vpn, Scratch);
+      P = &Scratch;
+    }
     for (int I = 0; I < 8; ++I)
       fold(static_cast<uint8_t>(Vpn >> (8 * I)));
     for (uint8_t B : *P)

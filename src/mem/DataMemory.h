@@ -6,9 +6,13 @@
 ///
 /// \file
 /// Byte-addressable sparse memory backing the functional execution of
-/// workloads. Pages materialize zero-filled on first touch, which also gives
+/// workloads. Any address reads as zero until written, which also gives
 /// non-faulting loads (Section 3.4.3) their "never traps" semantics for
-/// free: any address reads as zero until written.
+/// free. A workload image is declared rather than written (declareWords):
+/// each declared page materializes the first time a read or a write
+/// touches it, zero-filled and then filled with every declared word that
+/// overlaps it. Set-up therefore costs nothing for the pages a run never
+/// reads. A page no declaration covers materializes only when written.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +23,8 @@
 
 #include <array>
 #include <cstring>
+#include <functional>
+#include <utility>
 #include <vector>
 
 namespace trident {
@@ -34,19 +40,33 @@ public:
   DataMemory(const DataMemory &) = delete;
   DataMemory &operator=(const DataMemory &) = delete;
 
-  /// Reads a 64-bit little-endian value; unwritten memory reads as zero.
-  /// Not safe to call concurrently: it updates the translation cache.
-  uint64_t read64(Addr A) const;
+  /// Reads a 64-bit little-endian value; memory nobody wrote or declared
+  /// reads as zero. Reading a declared page materializes it. Not safe to
+  /// call concurrently: it updates the translation cache.
+  uint64_t read64(Addr A);
 
   /// Writes a 64-bit little-endian value, materializing pages as needed.
   void write64(Addr A, uint64_t Value);
 
+  /// Declares \p Count words: word I at \p Base + I * \p Stride holds
+  /// \p Value(I), byte for byte what a write64 loop issued now would
+  /// store. Pages that already exist take their words at once. Every
+  /// other page the words overlap takes them when it materializes, after
+  /// the words of earlier declarations. Table capacity and slab room for
+  /// all those pages are reserved here, so materializing them never
+  /// allocates. \p Stride is at least 8, so one declaration's words never
+  /// overlap each other.
+  void declareWords(Addr Base, uint64_t Count, uint64_t Stride,
+                    std::function<uint64_t(uint64_t)> Value);
+
   /// Number of materialized 4KB pages (footprint introspection for tests).
   size_t numPages() const { return NumPages; }
 
-  /// FNV-1a over every materialized page's VPN (8 bytes, little-endian)
-  /// and contents, in ascending VPN order: an identity for a data image
-  /// that does not depend on the order its pages were written in.
+  /// FNV-1a over every materialized or declared page's VPN (8 bytes,
+  /// little-endian) and contents, in ascending VPN order: an identity for
+  /// a data image that does not depend on the order its pages were
+  /// written in, nor on which pages have materialized. A declared page
+  /// that has not materialized is hashed from a scratch fill.
   uint64_t contentHash() const;
 
 private:
@@ -56,10 +76,40 @@ private:
   struct Slab;
   struct SlabPool;
 
-  const Page *findPage(Addr A) const;
-  Page &getOrCreatePage(Addr A);
+  /// One declareWords call. FirstVpn..LastVpn span its words' pages.
+  struct Declaration {
+    Addr Base;
+    uint64_t Count;
+    uint64_t Stride;
+    std::function<uint64_t(uint64_t)> Value;
+    uint64_t FirstVpn;
+    uint64_t LastVpn;
+  };
+
+  /// The page holding \p A. An absent page materializes when \p Create
+  /// or a declaration covers it; otherwise the result is null.
+  Page *lookupPage(Addr A, bool Create);
+  /// Table slot holding \p Key, or the empty slot where it would go.
+  size_t slotOf(uint64_t Key) const;
+  Page *findPage(uint64_t Key) const {
+    size_t I = slotOf(Key);
+    return Keys[I] == Key ? Slots[I] : nullptr;
+  }
+  /// Grows the table and takes spare slabs until \p Pages more pages fit.
+  void reserve(size_t Pages);
   Page *allocPage();
   void grow();
+
+  /// Index range [first, second) of \p D's words that overlap page \p Vpn.
+  static std::pair<uint64_t, uint64_t> wordsOn(const Declaration &D,
+                                               uint64_t Vpn);
+  /// Writes \p D's words that overlap page \p Vpn into \p P.
+  static void applyWords(const Declaration &D, uint64_t Vpn, Page &P);
+  /// True when one of \p D's words has a byte on page \p Vpn.
+  static bool overlaps(const Declaration &D, uint64_t Vpn);
+  bool declares(uint64_t Vpn) const;
+  /// Writes every declaration's words on page \p Vpn, in declaration order.
+  void fillDeclared(uint64_t Vpn, Page &P) const;
 
   // Open-addressing VPN -> page table with slab-allocated page storage:
   // a streaming workload materializes pages steadily, and per-page
@@ -73,10 +123,20 @@ private:
   /// One-entry translation cache in front of the table. Pages never move
   /// (grow() rehashes pointers only), so an entry stays valid for the
   /// memory's lifetime.
-  mutable uint64_t CachedKey = 0;
-  mutable Page *CachedPage = nullptr;
-  Slab *Slabs = nullptr; ///< owned slabs, newest first
-  size_t SlabUsed = SlabPages; ///< forces a slab on first materialization
+  uint64_t CachedKey = 0;
+  Page *CachedPage = nullptr;
+  /// Owned slabs in hand-out order. Current hands out pages; the slabs
+  /// after it are spare room reserve() has taken.
+  Slab *Slabs = nullptr;
+  Slab *LastSlab = nullptr;
+  Slab *Current = nullptr;
+  size_t SlabUsed = SlabPages; ///< pages Current has handed out
+  size_t FreePages = 0; ///< pages the owned slabs have not handed out yet
+  std::vector<Declaration> Decls;
+  /// Declared pages that have not materialized yet (an upper bound: a
+  /// page two declarations share counts twice). reserve() keeps room for
+  /// them.
+  size_t Reserved = 0;
 };
 
 } // namespace trident

@@ -290,14 +290,10 @@ AccessResult MemorySystem::access(Addr PC, Addr ByteAddr, AccessKind Kind,
     if (std::optional<Cycle> BufReady = Pf->probe(LineAddr, Now, *this)) {
       Cycle Ready =
           std::max(*BufReady, Now + Config.StreamBufferTransferLatency);
-      L1.insert(LineAddr, Ready, /*Prefetched=*/true);
-      if (DemandLoad) {
-        Cache::LookupResult LR = L1.lookup(LineAddr);
-        TRIDENT_DCHECK(LR.Idx != Cache::NoLine,
-                       "line 0x%llx we just inserted must be present",
-                       (unsigned long long)LineAddr);
-        L1.clearUntouched(LR.Idx);
-      }
+      const Cache::LineIdx Line =
+          L1.insert(LineAddr, Ready, /*Prefetched=*/true);
+      if (DemandLoad)
+        L1.clearUntouched(Line);
       R.ReadyCycle = Ready;
       R.Level = 0;
       R.StreamBufferHit = true;
@@ -314,16 +310,11 @@ AccessResult MemorySystem::access(Addr PC, Addr ByteAddr, AccessKind Kind,
   Cycle IssueCycle = Now + Config.L1.HitLatency;
   Cycle Ready = fetchBeyondL1(LineAddr, IssueCycle, Kind);
   Ready = allocateMshr(IssueCycle, Ready);
-  L1.insert(LineAddr, Ready, isPrefetchKind(Kind));
+  const Cache::LineIdx Line = L1.insert(LineAddr, Ready, isPrefetchKind(Kind));
   if (PfTrainsOnFill)
     Pf->trainOnFill(LineAddr, Ready, Kind);
-  if (!isPrefetchKind(Kind)) {
-    Cache::LookupResult LR = L1.lookup(LineAddr);
-    TRIDENT_DCHECK(LR.Idx != Cache::NoLine,
-                   "line 0x%llx we just inserted must be present",
-                   (unsigned long long)LineAddr);
-    L1.clearUntouched(LR.Idx);
-  }
+  if (!isPrefetchKind(Kind))
+    L1.clearUntouched(Line);
 
   R.ReadyCycle = Ready;
   R.Level = Ready - Now <= Config.L2.HitLatency + 1   ? 2

@@ -39,29 +39,35 @@ Addr trident::buildLinkedList(DataMemory &Mem, Addr Base, uint64_t NumNodes,
   TRIDENT_CHECK(NumNodes >= 2, "list needs at least two nodes");
   TRIDENT_CHECK(NumNodes <= UINT32_MAX, "list too long: %llu nodes",
                 static_cast<unsigned long long>(NumNodes));
+  auto nodeAddr = [=](uint64_t Idx) { return Base + Idx * NodeSize; };
+  if (!Shuffled) {
+    Mem.declareWords(Base + LinkOffset, NumNodes, NodeSize,
+                     [=](uint64_t N) { return nodeAddr((N + 1) % NumNodes); });
+    return Base;
+  }
+  // A chase over a shuffled list touches nearly every page anyway, so its
+  // links are written now rather than declared, and no successor table
+  // outlives the build.
   std::vector<uint64_t> Order(NumNodes);
   for (uint64_t I = 0; I < NumNodes; ++I)
     Order[I] = I;
-  if (Shuffled) {
-    SplitMix64 Rng(Seed);
-    shuffle(Order, Rng);
-    // Rotate so node 0 (at Base) leads the traversal: callers can start
-    // chasing at Base without searching for the head.
-    for (uint64_t I = 0; I < NumNodes; ++I) {
-      if (Order[I] == 0) {
-        std::rotate(Order.begin(), Order.begin() + I, Order.end());
-        break;
-      }
+  SplitMix64 Rng(Seed);
+  shuffle(Order, Rng);
+  // Rotate so node 0 (at Base) leads the traversal: callers can start
+  // chasing at Base without searching for the head.
+  for (uint64_t I = 0; I < NumNodes; ++I) {
+    if (Order[I] == 0) {
+      std::rotate(Order.begin(), Order.begin() + I, Order.end());
+      break;
     }
   }
   // Order[I] is the node at list position I. Stash each node's own
   // position in the high half of its slot, then write the links in node
-  // address order: a shuffled image fills page by page instead of taking
-  // a DRAM miss per link, and no second per-node array is needed.
+  // address order: the image fills page by page instead of taking a DRAM
+  // miss per link, and no second per-node array is needed.
   constexpr uint64_t NodeMask = UINT32_MAX;
   for (uint64_t I = 0; I < NumNodes; ++I)
     Order[Order[I] & NodeMask] |= I << 32;
-  auto nodeAddr = [&](uint64_t Idx) { return Base + Idx * NodeSize; };
   for (uint64_t N = 0; N < NumNodes; ++N) {
     uint64_t Next = Order[((Order[N] >> 32) + 1) % NumNodes] & NodeMask;
     Mem.write64(nodeAddr(N) + LinkOffset, nodeAddr(Next));
@@ -86,25 +92,26 @@ Addr trident::buildRunShuffledList(DataMemory &Mem, Addr Base,
       break;
     }
   }
-  auto nodeAddr = [&](uint64_t Run, uint64_t K) {
-    return Base + (Run * RunLength + K) * NodeSize;
-  };
-  for (uint64_t I = 0; I < NumRuns; ++I) {
-    uint64_t Run = RunOrder[I];
-    for (unsigned K = 0; K + 1 < RunLength; ++K)
-      Mem.write64(nodeAddr(Run, K) + LinkOffset, nodeAddr(Run, K + 1));
-    uint64_t NextRun = RunOrder[(I + 1) % NumRuns];
-    Mem.write64(nodeAddr(Run, RunLength - 1) + LinkOffset,
-                nodeAddr(NextRun, 0));
-  }
-  return nodeAddr(RunOrder[0], 0);
+  // Node N is node N % RunLength of run N / RunLength. Only a run's last
+  // node links outside it, to the first node of the run that follows.
+  std::vector<uint64_t> NextRun(NumRuns);
+  for (uint64_t I = 0; I < NumRuns; ++I)
+    NextRun[RunOrder[I]] = RunOrder[(I + 1) % NumRuns];
+  Mem.declareWords(Base + LinkOffset, NumRuns * RunLength, NodeSize,
+                   [=, NextRun = std::move(NextRun)](uint64_t N) {
+                     uint64_t Next = N % RunLength + 1 < RunLength
+                                         ? N + 1
+                                         : NextRun[N / RunLength] * RunLength;
+                     return Base + Next * NodeSize;
+                   });
+  return Base + RunOrder[0] * RunLength * NodeSize;
 }
 
 void trident::buildPointerArray(DataMemory &Mem, Addr ArrayBase,
                                 uint64_t Count, Addr Target,
                                 uint64_t Stride) {
-  for (uint64_t I = 0; I < Count; ++I)
-    Mem.write64(ArrayBase + I * 8, Target + I * Stride);
+  Mem.declareWords(ArrayBase, Count, 8,
+                   [=](uint64_t I) { return Target + I * Stride; });
 }
 
 //===----------------------------------------------------------------------===//

@@ -68,7 +68,9 @@ std::vector<Workload> makeAllWorkloads();
 /// otherwise nodes link in address order (so the chasing load is
 /// stride-predictable, as the paper observes for regularly allocated
 /// structures). Returns the head of the traversal, which is always \p Base:
-/// a shuffled order is rotated so node 0 leads.
+/// a shuffled order is rotated so node 0 leads. A sequential list's links
+/// are declared (DataMemory::declareWords), so its pages fill on first
+/// touch; a shuffled list's links are written at once.
 Addr buildLinkedList(DataMemory &Mem, Addr Base, uint64_t NumNodes,
                      unsigned NodeSize, unsigned LinkOffset, bool Shuffled,
                      uint64_t Seed = 1);
@@ -77,12 +79,12 @@ Addr buildLinkedList(DataMemory &Mem, Addr Base, uint64_t NumNodes,
 /// are sequential within a run and jump randomly between runs — the
 /// allocation pattern of a heap after some churn. The chasing load stays
 /// mostly stride-predictable while the hardware prefetcher loses its
-/// stream at every run boundary.
+/// stream at every run boundary. The links are declared.
 Addr buildRunShuffledList(DataMemory &Mem, Addr Base, uint64_t NumNodes,
                           unsigned NodeSize, unsigned LinkOffset,
                           unsigned RunLength, uint64_t Seed = 1);
 
-/// Fills ptr[0..Count) at \p ArrayBase with pointers Target + i*Stride
+/// Declares ptr[0..Count) at \p ArrayBase as pointers Target + i*Stride
 /// (an equake-style indirection array over regularly allocated data).
 void buildPointerArray(DataMemory &Mem, Addr ArrayBase, uint64_t Count,
                        Addr Target, uint64_t Stride);

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace trident;
 
 //===----------------------------------------------------------------------===//
@@ -116,6 +118,82 @@ TEST(DataMemory, LiveMemoriesNeverAliasPages) {
   EXPECT_EQ(Wrong, 0u) << "two live memories share a page";
 }
 
+namespace {
+/// One step of a declared-image row: declare Count words (word I at
+/// Base + I*Stride holds wordValue of its address and Tag), or store Tag
+/// at Base.
+struct ImageStep {
+  bool Declare;
+  Addr Base;
+  uint64_t Count;
+  uint64_t Stride;
+  uint64_t Tag;
+};
+ImageStep declared(Addr Base, uint64_t Count, uint64_t Stride, uint64_t Tag) {
+  return {true, Base, Count, Stride, Tag};
+}
+ImageStep stored(Addr A, uint64_t Value) { return {false, A, 1, 8, Value}; }
+
+struct DeclaredImageCase {
+  const char *Name;
+  std::vector<ImageStep> Steps;
+};
+} // namespace
+
+TEST(DataMemory, DeclaredWordsMatchPlainWrites) {
+  // The reference model: each row builds its image twice, once through
+  // declareWords and once through a plain write64 loop, then compares
+  // every word, the content hash and the page count. A full touch reads
+  // every word from one page before the image to one page after it, gap
+  // pages included, so equal page counts also prove that reading a page
+  // no declared word overlaps does not materialize it.
+  const std::vector<DeclaredImageCase> Cases = {
+      {"straddles-a-page-boundary",
+       {declared(0x10'0000 + PageSz - 28, 8, 8, 1),
+        declared(0x20'0000 + PageSz - 6, 6, PageSz + 4, 2)}},
+      {"stride-beyond-a-page",
+       {declared(0x30'0000 + 64, 5, 3 * PageSz + 8, 3)}},
+      {"count-one", {declared(0x40'0000 + 200, 1, 8, 4)}},
+      {"overlapping-declarations",
+       {declared(0x50'0000, 1024, 16, 5), declared(0x50'0000 + 4, 700, 24, 6)}},
+      {"stores-before-and-after",
+       {stored(0x60'0000 + 40, 0xAAAA), stored(0x60'0000 + 48, 0xBBBB),
+        declared(0x60'0000, 600, 16, 7), stored(0x60'0000 + 64, 0xCCCC),
+        stored(0x60'0000 + PageSz + 8, 0xDDDD)}},
+      {"store-into-untouched-declared-page",
+       {declared(0x70'0000, 2048, 8, 8),
+        stored(0x70'0000 + 2 * PageSz + 20, 0xEEEE)}},
+  };
+  for (const DeclaredImageCase &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    DataMemory Lazy, Eager;
+    Addr Lo = ~Addr(0), Hi = 0;
+    for (const ImageStep &S : C.Steps) {
+      const Addr Base = S.Base;
+      const uint64_t Stride = S.Stride, Tag = S.Tag;
+      Lo = std::min(Lo, Base);
+      Hi = std::max(Hi, Base + (S.Count - 1) * Stride + 8);
+      if (!S.Declare) {
+        Lazy.write64(Base, Tag);
+        Eager.write64(Base, Tag);
+        continue;
+      }
+      Lazy.declareWords(Base, S.Count, Stride, [=](uint64_t I) {
+        return wordValue(Base + I * Stride, Tag);
+      });
+      for (uint64_t I = 0; I < S.Count; ++I)
+        Eager.write64(Base + I * Stride, wordValue(Base + I * Stride, Tag));
+    }
+    EXPECT_EQ(Lazy.contentHash(), Eager.contentHash()) << "before any touch";
+    unsigned Wrong = 0;
+    for (Addr A = (Lo & ~(PageSz - 1)) - PageSz; A < Hi + PageSz; A += 8)
+      Wrong += Lazy.read64(A) != Eager.read64(A);
+    EXPECT_EQ(Wrong, 0u);
+    EXPECT_EQ(Lazy.numPages(), Eager.numPages());
+    EXPECT_EQ(Lazy.contentHash(), Eager.contentHash()) << "after a full touch";
+  }
+}
+
 #if defined(__SANITIZE_ADDRESS__)
 TEST(DataMemoryDeathTest, ReadThroughDestroyedMemoryReports) {
   // The destroyed memory's translation cache still points at its page,
@@ -149,9 +227,11 @@ TEST(Cache, GeometryDerivation) {
 TEST(Cache, MissThenHit) {
   Cache C(tinyCache());
   EXPECT_FALSE(C.lookup(0x1000));
-  C.insert(0x1000, /*FillReady=*/10, /*Prefetched=*/false);
+  Cache::LineIdx Filled = C.insert(0x1000, /*FillReady=*/10,
+                                   /*Prefetched=*/false);
   Cache::LookupResult R = C.lookup(0x1000);
   ASSERT_TRUE(R);
+  EXPECT_EQ(R.Idx, Filled);
   EXPECT_EQ(C.fillReady(R.Idx), 10u);
   EXPECT_FALSE(C.prefetched(R.Idx));
 }
@@ -203,8 +283,8 @@ TEST(Cache, ResetInvalidatesEverything) {
 
 TEST(Cache, RefillOfPresentLineKeepsIt) {
   Cache C(tinyCache());
-  C.insert(0x1000, 5, false);
-  C.insert(0x1000, 99, true); // refresh, not duplicate
+  Cache::LineIdx Filled = C.insert(0x1000, 5, false);
+  EXPECT_EQ(C.insert(0x1000, 99, true), Filled); // refresh, not duplicate
   Cache::LookupResult R = C.lookup(0x1000);
   ASSERT_TRUE(R);
   EXPECT_EQ(C.fillReady(R.Idx), 5u); // original fill time retained

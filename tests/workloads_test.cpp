@@ -118,6 +118,17 @@ TEST(Workloads, InitializedImagesArePinned) {
   }
 }
 
+TEST(Workloads, DeclaredImagesStartEmpty) {
+  // These images only declare their words, so Init materializes no page;
+  // pages fill when the run first touches them.
+  for (const char *Name : {"equake", "mcf", "gap", "vis"}) {
+    Workload W = makeWorkload(Name);
+    DataMemory M;
+    W.Init(M);
+    EXPECT_EQ(M.numPages(), 0u) << Name;
+  }
+}
+
 // Every workload must run on the raw machine without tripping asserts and
 // make steady progress (parameterized over the whole suite).
 class WorkloadSmoke : public ::testing::TestWithParam<std::string> {};
