@@ -94,6 +94,16 @@ TridentRuntime::TridentRuntime(const RuntimeConfig &Cfg, Program &P,
   Registration.GlobalDataPointer = 0xE000'0000;
   Registration.CodeCachePointer = CodeCache::Base;
   Registration.ThreadPriority = RegistrationStructure::Priority::Low;
+  const std::string Why = Config.invalidReason();
+  TRIDENT_CHECK(Why.empty(), "%s", Why.c_str());
+}
+
+std::string RuntimeConfig::invalidReason() const {
+  // Distances are clamped to [1, DistanceCap].
+  if (DistanceCap < 1)
+    return "distance cap " + std::to_string(DistanceCap) +
+           " must be at least 1";
+  return Dlt.invalidReason();
 }
 
 const PrefetchPlan *TridentRuntime::planFor(Addr OrigStart) const {

@@ -95,6 +95,9 @@ struct RuntimeConfig {
   double PhaseChangeThreshold = 0.5;
 
   static RuntimeConfig baseline() { return RuntimeConfig(); }
+  /// Why no runtime can be built with this config (the distance cap or
+  /// the DLT), or "" when one can. The runtime's constructor CHECKs it.
+  std::string invalidReason() const;
 };
 
 struct RuntimeStats {

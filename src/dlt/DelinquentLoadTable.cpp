@@ -35,16 +35,24 @@ static bool dltDebugEnabled() {
 
 static bool isPowerOfTwo(uint64_t X) { return X && (X & (X - 1)) == 0; }
 
-DelinquentLoadTable::DelinquentLoadTable(const DltConfig &Cfg)
-    : Config(Cfg), NumSets(Config.NumEntries / Config.Assoc) {
-  TRIDENT_CHECK(Config.Assoc >= 1 && Config.NumEntries % Config.Assoc == 0,
-                "%u entries must divide evenly into %u-way sets",
-                Config.NumEntries, Config.Assoc);
-  TRIDENT_CHECK(isPowerOfTwo(NumSets), "set count %zu must be a power of two",
-                NumSets);
-  TRIDENT_CHECK(Config.MissThreshold <= Config.MonitorWindow,
-                "miss threshold %u cannot exceed the %u-access window",
-                Config.MissThreshold, Config.MonitorWindow);
+std::string DltConfig::invalidReason() const {
+  if (Assoc < 1 || NumEntries % Assoc != 0)
+    return std::to_string(NumEntries) + " DLT entries must divide evenly "
+           "into " + std::to_string(Assoc) + "-way sets";
+  if (!isPowerOfTwo(NumEntries / Assoc))
+    return "DLT set count " + std::to_string(NumEntries / Assoc) +
+           " must be a power of two";
+  if (MissThreshold > MonitorWindow)
+    return "miss threshold " + std::to_string(MissThreshold) +
+           " cannot exceed the " + std::to_string(MonitorWindow) +
+           "-access window";
+  return "";
+}
+
+DelinquentLoadTable::DelinquentLoadTable(const DltConfig &Cfg) : Config(Cfg) {
+  const std::string Why = Config.invalidReason();
+  TRIDENT_CHECK(Why.empty(), "%s", Why.c_str());
+  NumSets = Config.NumEntries / Config.Assoc;
   TagsArr.resize(Config.NumEntries, 0);
   ValidArr.resize(Config.NumEntries, 0);
   Payloads.resize(Config.NumEntries);

@@ -55,6 +55,10 @@ struct DltConfig {
   int StrideConfidentAt = 15;
 
   static DltConfig baseline() { return DltConfig(); }
+  /// Why no table can be built with this geometry and window, or "" when
+  /// one can. The table's constructor CHECKs it; front ends call it to
+  /// reject bad input before building a machine.
+  std::string invalidReason() const;
 };
 
 /// Read-only view of one DLT entry for the optimizer.
@@ -168,7 +172,7 @@ private:
   size_t findOrAllocate(Addr PC);
 
   DltConfig Config;
-  size_t NumSets;
+  size_t NumSets = 0;
   // Set-major SoA entry state: index = set * Assoc + way.
   std::vector<Addr> TagsArr;
   std::vector<uint8_t> ValidArr;

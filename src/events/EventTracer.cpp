@@ -15,7 +15,8 @@ EventSubscriber::~EventSubscriber() = default;
 
 EventTracer::EventTracer(size_t Capacity, EventKindMask M)
     : Cap(Capacity), Mask(M & kAllEventsMask) {
-  TRIDENT_CHECK(Capacity > 0, "tracer ring needs at least one slot");
+  TRIDENT_CHECK(Capacity >= MinCapacity,
+                "tracer ring needs at least one slot");
   Ring.reserve(Capacity);
 }
 

@@ -41,6 +41,9 @@ public:
     uint64_t Extra = 0; ///< Outcome / taken / trace id / bitmap (by kind).
   };
 
+  /// The smallest ring the tracer accepts.
+  static constexpr size_t MinCapacity = 1;
+
   /// Ring of \p Capacity records; when full, the oldest record is
   /// overwritten (a trace of the *end* of the run, like a flight
   /// recorder). \p Mask selects the kinds recorded.

@@ -8,8 +8,10 @@
 #include "support/Check.h"
 #include "support/Random.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <limits>
 
 using namespace trident;
 
@@ -118,13 +120,12 @@ public:
     FaultPlan Plan;
     if (!expect('{'))
       return std::nullopt;
-    bool First = true;
+    std::vector<std::string> Seen;
     while (!peekIs('}')) {
-      if (!First && !expect(','))
+      if (!Seen.empty() && !expect(','))
         return std::nullopt;
-      First = false;
       std::string Key;
-      if (!parseString(Key) || !expect(':'))
+      if (!parseKey(Key, Seen))
         return std::nullopt;
       if (Key == "seed") {
         if (!parseU64(Plan.Seed))
@@ -192,6 +193,18 @@ private:
     return true;
   }
 
+  /// Reads `"key":`, rejecting a key already seen in the same object.
+  bool parseKey(std::string &Key, std::vector<std::string> &Seen) {
+    if (!parseString(Key) || !expect(':'))
+      return false;
+    if (std::find(Seen.begin(), Seen.end(), Key) != Seen.end()) {
+      fail("duplicate key '" + Key + "'");
+      return false;
+    }
+    Seen.push_back(Key);
+    return true;
+  }
+
   bool parseU64(uint64_t &Out) {
     skipWs();
     if (Pos >= S.size() ||
@@ -213,6 +226,18 @@ private:
     return true;
   }
 
+  bool parseU32(unsigned &Out) {
+    uint64_t V;
+    if (!parseU64(V))
+      return false;
+    if (V > std::numeric_limits<unsigned>::max()) {
+      fail("number overflows 32 bits at offset " + std::to_string(Pos));
+      return false;
+    }
+    Out = static_cast<unsigned>(V);
+    return true;
+  }
+
   bool parseActions(std::vector<FaultAction> &Out) {
     if (!expect('['))
       return false;
@@ -231,13 +256,12 @@ private:
     if (!expect('{'))
       return false;
     bool HaveKind = false, HaveCycle = false, HaveCount = false;
-    bool First = true;
+    std::vector<std::string> Seen;
     while (!peekIs('}')) {
-      if (!First && !expect(','))
+      if (!Seen.empty() && !expect(','))
         return false;
-      First = false;
       std::string Key;
-      if (!parseString(Key) || !expect(':'))
+      if (!parseKey(Key, Seen))
         return false;
       if (Key == "kind") {
         std::string Name;
@@ -274,15 +298,11 @@ private:
         if (!parseU64(A.RangeHi))
           return false;
       } else if (Key == "extra_mem") {
-        uint64_t V;
-        if (!parseU64(V))
+        if (!parseU32(A.ExtraMemLatency))
           return false;
-        A.ExtraMemLatency = static_cast<unsigned>(V);
       } else if (Key == "extra_l2") {
-        uint64_t V;
-        if (!parseU64(V))
+        if (!parseU32(A.ExtraL2Latency))
           return false;
-        A.ExtraL2Latency = static_cast<unsigned>(V);
       } else if (Key == "duration") {
         if (!parseU64(A.DurationCycles))
           return false;

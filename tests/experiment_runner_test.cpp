@@ -3,10 +3,11 @@
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
 // The contract of the parallel experiment runner: scheduling must never
-// change a result. For every workload, a batch run across many worker
-// threads must produce bit-identical SimResults to serial execution, the
-// memo cache must hand back the same object for a repeated (workload,
-// config fingerprint) key, and results must come back in submission order.
+// change a result. For all 56 (workload, Fig. 5 config) pairs, a batch run
+// across many worker threads must produce the same registry export and
+// register checksum as serial execution, the memo cache must hand back the
+// same object for a repeated (workload, config fingerprint) key, and
+// results must come back in submission order.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,50 +19,35 @@ using namespace trident;
 
 namespace {
 
-/// Short-budget config so the full-suite comparisons stay fast.
-SimConfig quickConfig(PrefetchMode Mode) {
-  SimConfig C = SimConfig::withMode(Mode);
+/// Short budget so the full-suite comparisons stay fast.
+SimConfig quick(SimConfig C) {
   C.WarmupInstructions = 5'000;
   C.SimInstructions = 30'000;
   return C;
 }
 
+/// Every registry line (core.*, mem.*, trident.*, cpu.*, ...) plus the
+/// final register file: any scheduling-dependent state shows up here.
 void expectBitIdentical(const SimResult &A, const SimResult &B) {
   EXPECT_EQ(A.Workload, B.Workload);
   EXPECT_EQ(A.ConfigName, B.ConfigName);
-  EXPECT_EQ(A.Instructions, B.Instructions);
-  EXPECT_EQ(A.Cycles, B.Cycles);
-  EXPECT_EQ(A.Ipc, B.Ipc);
   EXPECT_EQ(A.RegChecksum, B.RegChecksum);
-  EXPECT_EQ(A.Halted, B.Halted);
-  EXPECT_EQ(A.HelperBusyCycles, B.HelperBusyCycles);
-  EXPECT_EQ(A.BranchMispredicts, B.BranchMispredicts);
-  // Memory statistics, field by field.
-  EXPECT_EQ(A.Mem.DemandLoads, B.Mem.DemandLoads);
-  EXPECT_EQ(A.Mem.HitsNone, B.Mem.HitsNone);
-  EXPECT_EQ(A.Mem.HitsPrefetched, B.Mem.HitsPrefetched);
-  EXPECT_EQ(A.Mem.PartialHits, B.Mem.PartialHits);
-  EXPECT_EQ(A.Mem.Misses, B.Mem.Misses);
-  EXPECT_EQ(A.Mem.MissesDueToPrefetch, B.Mem.MissesDueToPrefetch);
-  EXPECT_EQ(A.Mem.StreamBufferHits, B.Mem.StreamBufferHits);
-  EXPECT_EQ(A.Mem.SoftwarePrefetches, B.Mem.SoftwarePrefetches);
-  EXPECT_EQ(A.Mem.HardwarePrefetches, B.Mem.HardwarePrefetches);
-  EXPECT_EQ(A.Mem.MemoryFetches, B.Mem.MemoryFetches);
-  EXPECT_EQ(A.Mem.TotalExposedLatency, B.Mem.TotalExposedLatency);
-  // Runtime statistics that feed the figures.
-  EXPECT_EQ(A.Runtime.TracesInstalled, B.Runtime.TracesInstalled);
-  EXPECT_EQ(A.Runtime.InsertionOptimizations, B.Runtime.InsertionOptimizations);
-  EXPECT_EQ(A.Runtime.RepairOptimizations, B.Runtime.RepairOptimizations);
-  EXPECT_EQ(A.Runtime.LoadMissesTotal, B.Runtime.LoadMissesTotal);
-  EXPECT_EQ(A.Runtime.LoadMissesCovered, B.Runtime.LoadMissesCovered);
+  ASSERT_TRUE(A.Registry && B.Registry);
+  EXPECT_EQ(A.Registry->toJsonl(), B.Registry->toJsonl());
 }
 
+/// The Fig. 5 sweep: every workload under the hw baseline and the three
+/// software-prefetching schemes.
 std::vector<ExperimentJob> fullSuiteJobs() {
+  const SimConfig Configs[] = {
+      quick(SimConfig::hwBaseline()),
+      quick(SimConfig::withMode(PrefetchMode::Basic)),
+      quick(SimConfig::withMode(PrefetchMode::WholeObject)),
+      quick(SimConfig::withMode(PrefetchMode::SelfRepairing))};
   std::vector<ExperimentJob> Jobs;
-  for (const std::string &Name : workloadNames()) {
-    Jobs.push_back(ExperimentJob{makeWorkload(Name), quickConfig(
-                                     PrefetchMode::SelfRepairing)});
-  }
+  for (const std::string &Name : workloadNames())
+    for (const SimConfig &C : Configs)
+      Jobs.push_back(ExperimentJob{makeWorkload(Name), C});
   return Jobs;
 }
 
@@ -76,7 +62,7 @@ TEST(ExperimentRunner, ParallelMatchesSerialForEveryWorkload) {
   ASSERT_EQ(SerialResults.size(), Jobs.size());
   ASSERT_EQ(ParallelResults.size(), Jobs.size());
   for (size_t I = 0; I < Jobs.size(); ++I) {
-    SCOPED_TRACE(Jobs[I].W.Name);
+    SCOPED_TRACE(Jobs[I].W.Name + " " + SerialResults[I]->ConfigName);
     expectBitIdentical(*SerialResults[I], *ParallelResults[I]);
   }
 }
@@ -94,7 +80,7 @@ TEST(ExperimentRunner, CacheReturnsSameObjectForRepeatedKey) {
   ExperimentRunner::clearResultCache();
   ExperimentRunner Runner({/*Threads=*/2, /*UseCache=*/true});
   Workload W = makeWorkload("mcf");
-  SimConfig C = quickConfig(PrefetchMode::SelfRepairing);
+  SimConfig C = quick(SimConfig::withMode(PrefetchMode::SelfRepairing));
 
   // Duplicates inside one batch coalesce to one simulation and one object.
   auto Results =
@@ -117,7 +103,7 @@ TEST(ExperimentRunner, CacheDistinguishesConfigs) {
   ExperimentRunner::clearResultCache();
   ExperimentRunner Runner({/*Threads=*/2, /*UseCache=*/true});
   Workload W = makeWorkload("swim");
-  SimConfig A = quickConfig(PrefetchMode::SelfRepairing);
+  SimConfig A = quick(SimConfig::withMode(PrefetchMode::SelfRepairing));
   SimConfig B = A;
   B.Runtime.Dlt.MonitorWindow = 128;
 

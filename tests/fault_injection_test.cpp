@@ -118,6 +118,13 @@ TEST(FaultPlan, ParserRejectsMalformedInput) {
       "{\"seed\":99999999999999999999}",              // 64-bit overflow
       "{\"seed\":-1}",                                // signed numbers
       "{\"seed\":1,\"actions\":[",                    // truncated
+      "{\"actions\":[{\"kind\":\"latency-spike\",\"at_cycle\":1,"
+      "\"extra_mem\":99999999999}]}",                 // 32-bit overflow
+      "{\"actions\":[{\"kind\":\"latency-spike\",\"at_cycle\":1,"
+      "\"extra_l2\":4294967296}]}",                   // 32-bit overflow
+      "{\"seed\":1,\"seed\":2}",                      // duplicate key
+      "{\"actions\":[{\"kind\":\"evict-dlt\",\"at_cycle\":1,"
+      "\"at_cycle\":2}]}",                            // duplicate key
   };
   for (const char *Text : Bad) {
     std::string Error;

@@ -1,17 +1,31 @@
-//===- fuzz_golden_test.cpp - Golden corpus of fuzzed scenarios ------------===//
+//===- fuzz_golden_test.cpp - Golden stat-registry corpus ------------------===//
 //
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
-// Pins five seeded fuzz scenarios — spread across the generator's knob
-// space — to committed stat snapshots, exactly like golden_stats_test does
-// for the 14 named workloads. Each fuzz snapshot includes the generator's
-// workload.program_hash line, so a golden match certifies BOTH that the
-// generator still emits the same program for the seed AND that the machine
-// still executes it to the same statistics. Two multi-programmed mixes ride
-// in the same table, pinning the co-lane scheduler, the shared memory
-// system and (in the four-lane row) the selector's monitor across
-// revisions. Refresh intentionally via tools/update_goldens.sh
-// (TRIDENT_UPDATE_GOLDENS regenerates here too).
+// Byte-compares the canonical StatRegistry JSONL export of a corpus of
+// scenarios (at a small fixed budget) against committed snapshots in
+// tests/golden/. Any unintended behaviour change anywhere in the machine
+// shows up here as a counter drift long before it grows into a headline-
+// figure regression. The corpus pins:
+//   - the 14 named workloads;
+//   - five seeded fuzz scenarios spread across the generator's knob space.
+//     Each fuzz snapshot includes the generator's workload.program_hash
+//     line, so a golden match certifies BOTH that the generator still
+//     emits the same program for the seed AND that the machine still
+//     executes it to the same statistics;
+//   - two multi-programmed mixes, pinning the co-lane scheduler, the
+//     shared memory system and (in the four-lane row) the selector's
+//     monitor across revisions.
+//
+// The named-workload rows run as GoldenStats.* (ctest: golden_stats_test),
+// the fuzz and mix rows as FuzzGolden.* (ctest: fuzz_golden_test); both
+// share one table and one compare loop.
+//
+// To refresh after an *intentional* change: tools/update_goldens.sh, then
+// review the diff like any other code change. The test regenerates (rather
+// than compares) when TRIDENT_UPDATE_GOLDENS is set; on mismatch it dumps
+// the actual export to golden_diff/ in the working directory so CI can
+// upload it as an artifact.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,12 +62,18 @@ struct Scenario {
   const char *Selector = "";
 };
 
-/// The corpus spreads the knob space: defaults, a small working set, high
-/// entropy + heavy branching, many segments with fast phase changes, and
-/// many streams over a large working set. Then two mixes: mcf against art
-/// (mix_determinism_test's pairing), and a fuzzed primary with three
-/// co-runners under dcpt and the bandit selector.
+/// The 14 named workloads come first. The fuzz rows spread the knob space:
+/// defaults, a small working set, high entropy + heavy branching, many
+/// segments with fast phase changes, and many streams over a large working
+/// set. Then two mixes: mcf against art (mix_determinism_test's pairing),
+/// and a fuzzed primary with three co-runners under dcpt and the bandit
+/// selector.
 const Scenario kCorpus[] = {
+    {"applu", "applu"},     {"art", "art"},         {"dot", "dot"},
+    {"equake", "equake"},   {"facerec", "facerec"}, {"fma3d", "fma3d"},
+    {"galgel", "galgel"},   {"gap", "gap"},         {"mcf", "mcf"},
+    {"mgrid", "mgrid"},     {"parser", "parser"},   {"swim", "swim"},
+    {"vis", "vis"},         {"wupwise", "wupwise"},
     {"fuzz@101", "fuzz_101"},
     {"fuzz@102:wset=2048", "fuzz_102"},
     {"fuzz@103:entropy=800,branch=500", "fuzz_103"},
@@ -64,8 +84,9 @@ const Scenario kCorpus[] = {
      {"art", "fuzz@107:wset=512,segs=8", "swim"}, "dcpt", "bandit"},
 };
 
-/// Same budget and mode as golden_stats_test, so the two corpora exercise
-/// the same machine shape.
+/// The snapshot budget: small enough that the corpus runs in seconds, long
+/// enough that tracing, optimization, and repair all engage. Matches the
+/// fault-injection identity tests so the two suites cross-check.
 SimConfig goldenConfig(const Scenario &S) {
   SimConfig C = SimConfig::withMode(PrefetchMode::SelfRepairing);
   C.SimInstructions = 40'000;
@@ -84,6 +105,8 @@ std::string goldenPath(const std::string &File) {
   return std::string(TRIDENT_GOLDEN_DIR) + "/" + File + ".jsonl";
 }
 
+/// First line where the two exports differ, for a readable failure message
+/// (the full JSONL is hundreds of lines; gtest would print all of them).
 std::string firstDiff(const std::string &Expected, const std::string &Actual) {
   std::istringstream E(Expected), A(Actual);
   std::string LE, LA;
@@ -101,11 +124,18 @@ std::string firstDiff(const std::string &Expected, const std::string &Actual) {
   }
 }
 
-} // namespace
+/// A named-workload row: one of the 14 programs, solo.
+bool isNamedRow(const Scenario &S) {
+  return S.MixWith.empty() && !isFuzzSpec(S.Spec);
+}
 
-TEST(FuzzGolden, CorpusMatchesCommittedSnapshots) {
+/// Compares (or, under TRIDENT_UPDATE_GOLDENS, rewrites) the snapshot of
+/// every corpus row for which isNamedRow() equals \p Named.
+void checkCorpusRows(bool Named) {
   const bool Update = std::getenv("TRIDENT_UPDATE_GOLDENS") != nullptr;
   for (const Scenario &S : kCorpus) {
+    if (isNamedRow(S) != Named)
+      continue;
     Workload W = makeWorkload(S.Spec);
     // The corpus lists canonical specs, so the resolved name round-trips;
     // a mismatch means the canonical knob order changed under the corpus.
@@ -149,6 +179,23 @@ TEST(FuzzGolden, CorpusMatchesCommittedSnapshots) {
         << "regen via tools/update_goldens.sh if the change is intended)\n"
         << firstDiff(Expected, Actual);
   }
+}
+
+} // namespace
+
+TEST(GoldenStats, AllWorkloadsMatchCommittedSnapshots) {
+  // The named rows must cover every workload, so a new one cannot go
+  // unpinned.
+  std::vector<std::string> Named;
+  for (const Scenario &S : kCorpus)
+    if (isNamedRow(S))
+      Named.push_back(S.Spec);
+  ASSERT_EQ(Named, workloadNames());
+  checkCorpusRows(/*Named=*/true);
+}
+
+TEST(FuzzGolden, CorpusMatchesCommittedSnapshots) {
+  checkCorpusRows(/*Named=*/false);
 }
 
 // A quick sanity sweep over seeds outside the pinned corpus: every seed

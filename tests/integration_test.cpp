@@ -9,9 +9,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "isa/ProgramBuilder.h"
+#include "sim/ExperimentRunner.h"
 #include "sim/Simulation.h"
+#include "support/Statistics.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace trident;
 
@@ -332,4 +336,44 @@ TEST(Integration, TrampolineMigratesOldTraceGenerations) {
                               quick(PrefetchMode::SelfRepairing, 1'000'000));
   EXPECT_GE(R.Runtime.TraceReinstalls, 1u);
   EXPECT_GT(R.Runtime.LdHitPrefetched + R.Runtime.LdPartial, 0u);
+}
+
+TEST(Integration, Figure5OrderingsHold) {
+  // The paper's headline shapes, pinned as orderings and signs rather than
+  // magnitudes, on the Fig. 5 sweep at a reduced 200k+100k budget.
+  const SimConfig Configs[] = {
+      SimConfig::hwBaseline(), SimConfig::withMode(PrefetchMode::Basic),
+      SimConfig::withMode(PrefetchMode::WholeObject),
+      SimConfig::withMode(PrefetchMode::SelfRepairing)};
+  std::vector<ExperimentJob> Jobs;
+  for (const std::string &Name : workloadNames())
+    for (SimConfig C : Configs) {
+      C.WarmupInstructions = 100'000;
+      C.SimInstructions = 200'000;
+      Jobs.push_back(ExperimentJob{makeWorkload(Name), C});
+    }
+  ExperimentRunner Runner({/*Threads=*/4, /*UseCache=*/false});
+  auto R = Runner.runBatch(Jobs);
+
+  // Speedup over the hw baseline per workload: basic, whole-object,
+  // self-repairing.
+  std::vector<double> Speedup[3];
+  for (size_t I = 0; I < R.size(); I += 4)
+    for (size_t M = 0; M < 3; ++M)
+      Speedup[M].push_back(speedup(*R[I + 1 + M], *R[I]));
+  EXPECT_GT(geometricMean(Speedup[0]), 1.0);
+  EXPECT_GT(geometricMean(Speedup[1]), geometricMean(Speedup[0]));
+  EXPECT_GT(geometricMean(Speedup[2]), geometricMean(Speedup[1]));
+
+  const std::vector<std::string> &Names = workloadNames();
+  auto IndexOf = [&](const char *Name) {
+    return static_cast<size_t>(
+        std::find(Names.begin(), Names.end(), Name) - Names.begin());
+  };
+  // applu's naive distance is already right: repair never fires.
+  EXPECT_EQ(R[4 * IndexOf("applu") + 3]->Runtime.RepairOptimizations, 0u);
+  // dot is the whole-object showcase: grouping, not repair, brings its gain.
+  const size_t Dot = IndexOf("dot");
+  EXPECT_GT(Speedup[1][Dot] - Speedup[0][Dot],
+            Speedup[2][Dot] - Speedup[1][Dot]);
 }

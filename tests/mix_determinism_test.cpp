@@ -8,7 +8,7 @@
 // and the parallel experiment runner (TRIDENT_BENCH_JOBS=1 vs =4), and
 // (c) the solo path must be untouched by the mix machinery — a config
 // with MixWith empty is the legacy machine, bit for bit (that last claim
-// is what golden_stats_test enforces; here we pin the mix-specific parts).
+// is what fuzz_golden_test enforces; here we pin the mix-specific parts).
 //
 //===----------------------------------------------------------------------===//
 

@@ -9,14 +9,14 @@
 // config — to a committed fingerprint of (Cycles, RegChecksum, FNV-1a of
 // the canonical stat-registry JSONL export).
 //
-// golden_stats_test already byte-compares the full JSONL for the
+// fuzz_golden_test already byte-compares the full JSONL for the
 // SelfRepairing config; this suite widens the net to every config the
 // figure sweeps use (hwBaseline has no Trident at all, so it exercises
 // the pure-hardware path the stat goldens never see) while keeping the
 // committed artifact to one small text file.
 //
 // To refresh after an *intentional* behaviour change:
-//   TRIDENT_UPDATE_GOLDENS=1 ./sweep_identity_test
+//   tools/update_goldens.sh
 // then review the diff like any other code change.
 //
 //===----------------------------------------------------------------------===//
@@ -44,7 +44,7 @@ using namespace trident;
 
 namespace {
 
-/// Same snapshot budget as golden_stats_test / the fault identity tests:
+/// Same snapshot budget as fuzz_golden_test / the fault identity tests:
 /// small enough that the 70-cell sweep runs in seconds, long enough that
 /// tracing, optimization, repair, and fault recovery all engage.
 constexpr uint64_t kSimInstructions = 40'000;

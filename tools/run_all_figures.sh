@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Builds the repo and runs every figure/ablation binary under
 # TRIDENT_BENCH_QUICK=1 (quarter instruction budget) — a CI-sized smoke of
-# the full experimental methodology. Also runs host_throughput, whose JSON
-# line tracks simulator performance, and fails if any binary fails.
+# the full experimental methodology. Fails if any binary fails.
 #
 # Usage: tools/run_all_figures.sh [build-dir] [--hwpf LIST]
 #   --hwpf LIST          comma list restricting fig9's prefetcher axis
@@ -45,7 +44,6 @@ FIGURES=(
   fig9_hw_vs_sw
   fig10_selector
   ablation_adaptivity
-  host_throughput
 )
 
 for FIG in "${FIGURES[@]}"; do

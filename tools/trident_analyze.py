@@ -439,7 +439,6 @@ WALLCLOCK_PATTERNS = [
     (re.compile(r"(?<![\w:.])(time|clock|gettimeofday|clock_gettime)\s*\("),
      "calls a wall-clock function"),
 ]
-WALLCLOCK_EXEMPT = {"bench/host_throughput.cpp"}
 
 RANDOMNESS_PATTERNS = [
     (re.compile(r"\bstd::random_device\b"), "uses std::random_device"),
@@ -458,8 +457,7 @@ def _match_lines(fm: FileModel, patterns, rule, findings):
 
 def rule_wall_clock(fm: FileModel, ctx) -> list:
     findings = []
-    if fm.rel not in WALLCLOCK_EXEMPT:
-        _match_lines(fm, WALLCLOCK_PATTERNS, "wall-clock", findings)
+    _match_lines(fm, WALLCLOCK_PATTERNS, "wall-clock", findings)
     return findings
 
 

@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -91,6 +92,29 @@ void usage(const char *Prog) {
       "                         run stays deterministic for a fixed plan\n"
       "  --verbose              full statistics dump\n",
       Prog);
+}
+
+/// Reads a numeric flag's value into \p Out: decimal digits only, from
+/// \p Min up to the largest value \p Out holds. Anything else (a sign, a
+/// suffix, an empty value, overflow) exits 2 before any machine is built.
+template <typename T>
+void parseNumber(const char *Flag, const char *Text, T &Out, T Min = 0) {
+  const uint64_t Max = static_cast<uint64_t>(std::numeric_limits<T>::max());
+  uint64_t V = 0;
+  bool Ok = *Text != '\0';
+  for (const char *P = Text; Ok && *P; ++P) {
+    const uint64_t Digit = static_cast<unsigned char>(*P) - uint64_t{'0'};
+    Ok = Digit <= 9 && V <= (Max - Digit) / 10;
+    V = V * 10 + Digit;
+  }
+  if (!Ok || V < static_cast<uint64_t>(Min)) {
+    std::fprintf(stderr, "error: %s takes a whole number from %llu to %llu, "
+                         "got '%s'\n",
+                 Flag, static_cast<unsigned long long>(Min),
+                 static_cast<unsigned long long>(Max), Text);
+    std::exit(2);
+  }
+  Out = static_cast<T>(V);
 }
 
 const char *onOff(bool B) { return B ? "on" : "off"; }
@@ -255,13 +279,13 @@ int main(int argc, char **argv) {
     else if (!std::strcmp(A, "--hwpf"))
       HwPf = needValue(I);
     else if (!std::strcmp(A, "--hwpf-feedback"))
-      HwPfFeedback = std::strtoull(needValue(I), nullptr, 10);
+      parseNumber(A, needValue(I), HwPfFeedback);
     else if (!std::strcmp(A, "--selector"))
       Selector = needValue(I);
     else if (!std::strcmp(A, "--instr"))
-      Instr = std::strtoull(needValue(I), nullptr, 10);
+      parseNumber(A, needValue(I), Instr);
     else if (!std::strcmp(A, "--warmup"))
-      Warmup = std::strtoull(needValue(I), nullptr, 10);
+      parseNumber(A, needValue(I), Warmup);
     else if (!std::strcmp(A, "--compare"))
       Compare = true;
     else if (!std::strcmp(A, "--no-link"))
@@ -273,18 +297,17 @@ int main(int argc, char **argv) {
     else if (!std::strcmp(A, "--phase-adapt"))
       PhaseAdapt = true;
     else if (!std::strcmp(A, "--dlt-entries"))
-      DltEntries = static_cast<unsigned>(std::strtoul(needValue(I), nullptr, 10));
+      parseNumber(A, needValue(I), DltEntries);
     else if (!std::strcmp(A, "--window"))
-      Window = static_cast<unsigned>(std::strtoul(needValue(I), nullptr, 10));
+      parseNumber(A, needValue(I), Window);
     else if (!std::strcmp(A, "--miss-threshold"))
-      MissThreshold =
-          static_cast<unsigned>(std::strtoul(needValue(I), nullptr, 10));
+      parseNumber(A, needValue(I), MissThreshold);
     else if (!std::strcmp(A, "--distance-cap"))
-      DistanceCap = std::atoi(needValue(I));
+      parseNumber(A, needValue(I), DistanceCap);
     else if (!std::strcmp(A, "--trace-out"))
       TraceOut = needValue(I);
     else if (!std::strcmp(A, "--trace-capacity"))
-      TraceCapacity = std::strtoull(needValue(I), nullptr, 10);
+      parseNumber(A, needValue(I), TraceCapacity, EventTracer::MinCapacity);
     else if (!std::strcmp(A, "--stats-out"))
       StatsOut = needValue(I);
     else if (!std::strcmp(A, "--faults"))
@@ -438,6 +461,10 @@ int main(int argc, char **argv) {
   C.Runtime.Dlt.MissThreshold = MissThreshold;
   C.Runtime.DistanceCap = DistanceCap;
   C.MixWith = MixCoRunners;
+  if (const std::string Why = C.Runtime.invalidReason(); !Why.empty()) {
+    std::fprintf(stderr, "error: %s\n", Why.c_str());
+    return 2;
+  }
 
   if (!FaultsPath.empty()) {
     std::ifstream In(FaultsPath);
