@@ -5,19 +5,24 @@
 //===----------------------------------------------------------------------===//
 
 #include "hwpf/Dcpt.h"
+#include "hwpf/PrefetcherRegistry.h"
 #include "support/Check.h"
 
 using namespace trident;
 
-DcptPrefetcher::DcptPrefetcher(const DcptConfig &Cfg)
-    : Config(Cfg), Buffer(Cfg.BufferCapacity) {
-  TRIDENT_CHECK(Config.NumEntries > 0 && Config.NumDeltas >= 2 &&
-                    Config.Degree > 0,
-                "dcpt config must be nonzero (and hold at least two deltas)");
-  Table.resize(Config.NumEntries);
-  for (Entry &E : Table)
-    E.Deltas.resize(Config.NumDeltas);
+std::string DcptConfig::invalidReason() const {
+  return sizeKnobsReason("dcpt",
+                         {{"entries", NumEntries, 1},
+                          {"deltas", NumDeltas, 2},
+                          {"degree", Degree, 1},
+                          {"buffer", BufferCapacity, 0}},
+                         MaxSize);
 }
+
+DcptPrefetcher::DcptPrefetcher(const DcptConfig &Cfg)
+    : Config(checkedConfig(Cfg)), Table(Config.NumEntries),
+      DeltaStore(static_cast<size_t>(Config.NumEntries) * Config.NumDeltas),
+      Buffer(Config.BufferCapacity) {}
 
 std::string DcptPrefetcher::name() const { return "dcpt"; }
 
@@ -44,7 +49,8 @@ void DcptPrefetcher::trainOnMiss(Addr PC, Addr ByteAddr, Cycle Now,
                                  MemoryBackend &BE) {
   const uint64_t LS = BE.lineSize();
   const uint64_t Block = ByteAddr / LS;
-  Entry &E = Table[PC % Config.NumEntries];
+  const size_t Index = PC % Config.NumEntries;
+  Entry &E = Table[Index];
   if (!E.Valid || E.Tag != PC) {
     reset(E, PC, Block);
     return;
@@ -59,18 +65,27 @@ void DcptPrefetcher::trainOnMiss(Addr PC, Addr ByteAddr, Cycle Now,
     reset(E, PC, Block);
     return;
   }
-  E.push(static_cast<int32_t>(Delta64));
+  const unsigned N = Config.NumDeltas;
+  int32_t *const Ring = &DeltaStore[Index * N];
+  Ring[E.Head] = static_cast<int32_t>(Delta64);
+  E.Head = E.Head + 1 == N ? 0 : E.Head + 1;
+  if (E.Count < N)
+    ++E.Count;
   E.LastBlock = Block;
   if (E.Count < 2)
     return;
+  // The delta Age places after the oldest one in the history.
+  auto At = [&](unsigned Age) {
+    return Ring[ringSlot(E.Head, E.Count, Age, N)];
+  };
 
   // Correlate: find the most recent earlier occurrence of the newest
   // delta pair (d[n-1], d[n]) in the history.
-  const int32_t DPrev = E.at(E.Count - 2);
-  const int32_t DLast = E.at(E.Count - 1);
+  const int32_t DPrev = At(E.Count - 2);
+  const int32_t DLast = At(E.Count - 1);
   int MatchEnd = -1; // index (from oldest) of the pair's second element
   for (int I = static_cast<int>(E.Count) - 3; I >= 1; --I) {
-    if (E.at(I - 1) == DPrev && E.at(I) == DLast) {
+    if (At(I - 1) == DPrev && At(I) == DLast) {
       MatchEnd = I;
       break;
     }
@@ -84,19 +99,15 @@ void DcptPrefetcher::trainOnMiss(Addr PC, Addr ByteAddr, Cycle Now,
   unsigned Issued = 0;
   for (unsigned I = MatchEnd + 1;
        I < E.Count && Issued < Config.Degree; ++I) {
-    int64_t D = E.at(I);
+    int64_t D = At(I);
     if (D < 0 && Predicted < static_cast<uint64_t>(-D))
       break; // replay ran off the bottom of memory
     Predicted = static_cast<uint64_t>(static_cast<int64_t>(Predicted) + D);
     // Skip blocks already covered by the previous replay of this entry
     // (DCPT's in-flight dedup) or still sitting in the buffer.
-    if (Predicted == E.LastPrefetchBlock)
+    if (Predicted == E.LastPrefetchBlock ||
+        !Buffer.fetch(Predicted * LS, Now, BE))
       continue;
-    Addr LineAddr = Predicted * LS;
-    if (Buffer.contains(LineAddr))
-      continue;
-    Cycle Ready = BE.fetchBeyondL1(LineAddr, Now, AccessKind::HardwarePrefetch);
-    Buffer.insert(LineAddr, Ready);
     E.LastPrefetchBlock = Predicted;
     ++LinesPrefetched;
     ++Issued;

@@ -22,6 +22,7 @@
 #include "hwpf/PrefetchBuffer.h"
 #include "mem/MemorySystem.h"
 
+#include <string>
 #include <vector>
 
 namespace trident {
@@ -36,7 +37,13 @@ struct DcptConfig {
   /// Prefetched-line buffer capacity.
   unsigned BufferCapacity = 32;
 
+  /// Upper bound of every knob above.
+  static constexpr unsigned MaxSize = 1024;
+
   static DcptConfig baseline() { return DcptConfig(); }
+  /// Why no unit can be built from this config, or "" when one can. The
+  /// constructor CHECKs it; the registry returns it as the spec error.
+  std::string invalidReason() const;
 };
 
 class DcptPrefetcher final : public HwPrefetcher {
@@ -53,27 +60,26 @@ public:
 
   const DcptConfig &config() const { return Config; }
 
+  /// Slot of the delta \p Age places after the oldest, in a ring of
+  /// \p N slots whose next write goes to \p Head and which holds \p Count
+  /// deltas (Age < Count <= N, Head < N). Equals
+  /// (Head + N - Count + Age) % N without the divide.
+  static unsigned ringSlot(unsigned Head, unsigned Count, unsigned Age,
+                           unsigned N) {
+    const unsigned Raw = Head + N - Count + Age; // below 2N
+    return Raw >= N ? Raw - N : Raw;
+  }
+
 private:
-  /// Per-PC delta history: a fixed ring of NumDeltas signed line deltas.
+  /// Per-PC table entry. Table[I] keeps its delta history, a fixed ring
+  /// of NumDeltas signed line deltas, in row I of DeltaStore.
   struct Entry {
     bool Valid = false;
     Addr Tag = 0;          ///< full PC (tag for the direct-mapped slot)
     uint64_t LastBlock = 0;
     uint64_t LastPrefetchBlock = 0; ///< dedup: newest block already issued
-    std::vector<int32_t> Deltas;    ///< ring, sized NumDeltas at reset
     unsigned Head = 0;              ///< slot the next delta goes into
     unsigned Count = 0;
-
-    int32_t at(unsigned AgeFromOldest) const {
-      return Deltas[(Head + Deltas.size() - Count + AgeFromOldest) %
-                    Deltas.size()];
-    }
-    void push(int32_t D) {
-      Deltas[Head] = D;
-      Head = (Head + 1) % static_cast<unsigned>(Deltas.size());
-      if (Count < Deltas.size())
-        ++Count;
-    }
   };
 
   void reset(Entry &E, Addr PC, uint64_t Block);
@@ -81,6 +87,9 @@ private:
   DcptConfig Config;
   /// Fixed NumEntries slots, allocated at construction.
   std::vector<Entry> Table;
+  /// Every entry's delta ring, NumEntries x NumDeltas row-major, allocated
+  /// at construction.
+  std::vector<int32_t> DeltaStore;
   PrefetchBuffer Buffer;
 
   uint64_t ProbeHits = 0;

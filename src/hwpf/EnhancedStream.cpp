@@ -5,19 +5,31 @@
 //===----------------------------------------------------------------------===//
 
 #include "hwpf/EnhancedStream.h"
+#include "hwpf/PrefetcherRegistry.h"
 #include "support/Check.h"
 
 using namespace trident;
 
+/// |V| as an unsigned value, defined for INT64_MIN too.
+static uint64_t magnitude(int64_t V) {
+  return V < 0 ? 0 - static_cast<uint64_t>(V) : static_cast<uint64_t>(V);
+}
+
+std::string EnhancedStreamConfig::invalidReason() const {
+  if (RegionLines == 0)
+    return "enhanced-stream knob 'region' must be nonzero";
+  return sizeKnobsReason("enhanced-stream",
+                         {{"trainers", NumTrainingEntries, 1},
+                          {"streams", NumStreams, 1},
+                          {"degree", Degree, 1},
+                          {"depth", Depth, 0}},
+                         MaxSize);
+}
+
 EnhancedStreamPrefetcher::EnhancedStreamPrefetcher(
     const EnhancedStreamConfig &Cfg)
-    : Config(Cfg), Buffer(Cfg.NumStreams * Cfg.Depth) {
-  TRIDENT_CHECK(Config.NumTrainingEntries > 0 && Config.NumStreams > 0 &&
-                    Config.Degree > 0 && Config.RegionLines > 0,
-                "enhanced-stream config must be nonzero");
-  Trainers.resize(Config.NumTrainingEntries);
-  Streams.resize(Config.NumStreams);
-}
+    : Config(checkedConfig(Cfg)), Trainers(Config.NumTrainingEntries),
+      Streams(Config.NumStreams), Buffer(Config.NumStreams * Config.Depth) {}
 
 std::string EnhancedStreamPrefetcher::name() const {
   return "enhanced-stream";
@@ -188,9 +200,16 @@ std::optional<Cycle> EnhancedStreamPrefetcher::probe(Addr LineAddr, Cycle Now,
       continue;
     int64_t Behind =
         static_cast<int64_t>(S.NextBlock) - static_cast<int64_t>(Block);
-    int64_t K = Behind / S.Stride;
-    if (Behind % S.Stride == 0 && K >= 1 &&
-        K <= static_cast<int64_t>(Config.Depth)) {
+    // Behind = K * Stride with K in [1, Depth] needs Behind on Stride's
+    // side of zero and |Stride| <= |Behind| <= Depth * |Stride|. Test that
+    // first (the 128-bit product cannot overflow); then K lies in range,
+    // and only the streams that pass pay the divide.
+    const uint64_t MagBehind = magnitude(Behind);
+    const uint64_t MagStride = magnitude(S.Stride);
+    if ((Behind < 0) != (S.Stride < 0) || MagBehind < MagStride ||
+        MagBehind > static_cast<unsigned __int128>(MagStride) * Config.Depth)
+      continue;
+    if (Behind % S.Stride == 0) {
       advance(S, 1, Now, BE);
       break;
     }

@@ -23,6 +23,7 @@
 #include "hwpf/PrefetchBuffer.h"
 #include "mem/MemorySystem.h"
 
+#include <string>
 #include <vector>
 
 namespace trident {
@@ -46,7 +47,13 @@ struct EnhancedStreamConfig {
   unsigned DeadIdleEvents = 64;
   unsigned DeadMinLength = 4;
 
+  /// Upper bound of the trainer and stream counts, Degree and Depth.
+  static constexpr unsigned MaxSize = 1024;
+
   static EnhancedStreamConfig baseline() { return EnhancedStreamConfig(); }
+  /// Why no unit can be built from this config, or "" when one can. The
+  /// constructor CHECKs it; the registry returns it as the spec error.
+  std::string invalidReason() const;
 };
 
 class EnhancedStreamPrefetcher final : public HwPrefetcher {

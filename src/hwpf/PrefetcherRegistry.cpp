@@ -121,7 +121,32 @@ bool PrefetcherSpec::checkKnobs(std::initializer_list<const char *> Allowed,
   return true;
 }
 
+std::string trident::sizeKnobsReason(const char *Unit,
+                                     std::initializer_list<SizeKnob> Knobs,
+                                     unsigned Max) {
+  for (const SizeKnob &K : Knobs)
+    if (K.Value < K.Min || K.Value > Max)
+      return std::string(Unit) + " knob '" + K.Name + "' is " +
+             std::to_string(K.Value) + ", outside [" + std::to_string(K.Min) +
+             ", " + std::to_string(Max) + "]";
+  return "";
+}
+
 namespace {
+
+/// Builds a \p UnitT from \p Cfg, or returns nullptr with the config's
+/// invalidReason() in \p Error.
+template <typename UnitT, typename ConfigT>
+std::unique_ptr<HwPrefetcher> makeUnit(const ConfigT &Cfg,
+                                       std::string *Error) {
+  std::string Why = Cfg.invalidReason();
+  if (!Why.empty()) {
+    if (Error)
+      *Error = std::move(Why);
+    return nullptr;
+  }
+  return std::make_unique<UnitT>(Cfg);
+}
 
 /// Shared factory body for the stream-buffer entries; \p Buffers/\p Depth
 /// are the entry's defaults, overridable via knobs.
@@ -139,7 +164,7 @@ makeStreamBuffers(const PrefetcherSpec &Spec, const PrefetcherEnv &Env,
     Cfg.StopAtPageBoundary = true;
     Cfg.PageBits = Env.PageBits;
   }
-  return std::make_unique<StreamBufferUnit>(Cfg);
+  return makeUnit<StreamBufferUnit>(Cfg, Error);
 }
 
 } // namespace
@@ -186,7 +211,7 @@ PrefetcherRegistry::PrefetcherRegistry() {
              static_cast<unsigned>(S.knobOr("region", Cfg.RegionLines));
          Cfg.ConfirmMisses =
              static_cast<unsigned>(S.knobOr("confirm", Cfg.ConfirmMisses));
-         return std::make_unique<EnhancedStreamPrefetcher>(Cfg);
+         return makeUnit<EnhancedStreamPrefetcher>(Cfg, Err);
        }});
   add({"dcpt",
        "delta-correlating prediction tables (Grannaes et al., DPC-1)",
@@ -203,7 +228,7 @@ PrefetcherRegistry::PrefetcherRegistry() {
          Cfg.Degree = static_cast<unsigned>(S.knobOr("degree", Cfg.Degree));
          Cfg.BufferCapacity =
              static_cast<unsigned>(S.knobOr("buffer", Cfg.BufferCapacity));
-         return std::make_unique<DcptPrefetcher>(Cfg);
+         return makeUnit<DcptPrefetcher>(Cfg, Err);
        }});
   add({"tskid",
        "trigger/target timing prefetcher with learned issue skid "
@@ -229,7 +254,7 @@ PrefetcherRegistry::PrefetcherRegistry() {
              static_cast<unsigned>(S.knobOr("lead", Cfg.LeadCycles));
          Cfg.MinSkidCycles =
              static_cast<unsigned>(S.knobOr("minskid", Cfg.MinSkidCycles));
-         return std::make_unique<TskidPrefetcher>(Cfg);
+         return makeUnit<TskidPrefetcher>(Cfg, Err);
        }});
 }
 

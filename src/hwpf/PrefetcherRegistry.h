@@ -13,11 +13,13 @@
 ///     name                      e.g.  "sb8x8", "dcpt", "none"
 ///     name:knob=value,...       e.g.  "dcpt:entries=64,degree=2"
 ///
-/// with integer-valued knobs. "none" (or an empty spec) means no
-/// prefetcher and resolves to a null unit, successfully. Built-in entries
-/// are registered lazily inside instance(), so there is no static-init
-/// ordering to get wrong; phase-aware selectors (ROADMAP) can add their
-/// own entries at startup via add().
+/// with integer-valued knobs. A knob outside the range its unit accepts
+/// (each config's invalidReason()) is a spec error, like an unknown knob.
+/// "none" (or an empty spec) means no prefetcher and resolves to a null
+/// unit, successfully. Built-in entries are registered lazily inside
+/// instance(), so there is no static-init ordering to get wrong;
+/// phase-aware selectors (ROADMAP) can add their own entries at startup
+/// via add().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,6 +63,21 @@ struct PrefetcherSpec {
   bool checkKnobs(std::initializer_list<const char *> Allowed,
                   std::string *Error) const;
 };
+
+/// One size knob of a unit config: its spec name, its value, and the
+/// smallest value the unit accepts.
+struct SizeKnob {
+  const char *Name;
+  unsigned Value;
+  unsigned Min;
+};
+
+/// Why some knob of prefetcher \p Unit lies outside [Min, \p Max], naming
+/// the first one, or "" when all of \p Knobs are in range. Shared by the
+/// unit configs' invalidReason().
+std::string sizeKnobsReason(const char *Unit,
+                            std::initializer_list<SizeKnob> Knobs,
+                            unsigned Max);
 
 class PrefetcherRegistry {
 public:

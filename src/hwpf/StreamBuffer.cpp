@@ -5,6 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "hwpf/StreamBuffer.h"
+#include "hwpf/PrefetcherRegistry.h"
+#include "support/Check.h"
 #include "support/StatRegistry.h"
 
 #include <cstdio>
@@ -20,8 +22,19 @@ void StreamBufferStats::registerInto(StatRegistry &R,
   R.setCounter(Prefix + "lines_prefetched", LinesPrefetched);
 }
 
+std::string StreamBufferConfig::invalidReason() const {
+  if (HistoryEntries & (HistoryEntries - 1))
+    return "stream-buffer knob 'history' must be a power of two, got " +
+           std::to_string(HistoryEntries);
+  return sizeKnobsReason("stream-buffer",
+                         {{"buffers", NumBuffers, 1},
+                          {"depth", Depth, 0},
+                          {"history", HistoryEntries, 1}},
+                         MaxSize);
+}
+
 StreamBufferUnit::StreamBufferUnit(const StreamBufferConfig &Cfg)
-    : Config(Cfg), Predictor(Config.HistoryEntries) {
+    : Config(checkedConfig(Cfg)), Predictor(Config.HistoryEntries) {
   Buffers.resize(Config.NumBuffers);
   for (Buffer &B : Buffers)
     B.Ring.resize(Config.Depth);

@@ -19,6 +19,7 @@
 #include "hwpf/StridePredictor.h"
 #include "mem/MemorySystem.h"
 
+#include <string>
 #include <vector>
 
 namespace trident {
@@ -37,8 +38,14 @@ struct StreamBufferConfig {
   bool StopAtPageBoundary = false;
   unsigned PageBits = 12;
 
+  /// Upper bound of NumBuffers, Depth and HistoryEntries.
+  static constexpr unsigned MaxSize = 1024;
+
   static StreamBufferConfig config4x4() { return {4, 4, 1024, true}; }
   static StreamBufferConfig config8x8() { return {8, 8, 1024, true}; }
+  /// Why no unit can be built from this config, or "" when one can. The
+  /// constructor CHECKs it; the registry returns it as the spec error.
+  std::string invalidReason() const;
 };
 
 /// Statistics for the stream-buffer unit.

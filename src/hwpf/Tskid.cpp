@@ -5,19 +5,26 @@
 //===----------------------------------------------------------------------===//
 
 #include "hwpf/Tskid.h"
+#include "hwpf/PrefetcherRegistry.h"
 #include "support/Check.h"
+
+#include <algorithm>
 
 using namespace trident;
 
-TskidPrefetcher::TskidPrefetcher(const TskidConfig &Cfg)
-    : Config(Cfg), Buffer(Cfg.BufferCapacity) {
-  TRIDENT_CHECK(Config.NumEntries > 0 && Config.RecentMissDepth > 0 &&
-                    Config.PendingDepth > 0,
-                "tskid config must be nonzero");
-  Triggers.resize(Config.NumEntries);
-  Recent.resize(Config.RecentMissDepth);
-  Pending.resize(Config.PendingDepth);
+std::string TskidConfig::invalidReason() const {
+  return sizeKnobsReason("tskid",
+                         {{"entries", NumEntries, 1},
+                          {"recent", RecentMissDepth, 1},
+                          {"pending", PendingDepth, 1},
+                          {"buffer", BufferCapacity, 0}},
+                         MaxSize);
 }
+
+TskidPrefetcher::TskidPrefetcher(const TskidConfig &Cfg)
+    : Config(checkedConfig(Cfg)), Triggers(Config.NumEntries),
+      Recent(Config.RecentMissDepth), Pending(Config.PendingDepth),
+      Buffer(Config.BufferCapacity) {}
 
 std::string TskidPrefetcher::name() const { return "tskid"; }
 
@@ -41,29 +48,29 @@ HwPfStats TskidPrefetcher::snapshotStats() const {
 }
 
 void TskidPrefetcher::drainPending(Cycle Now, MemoryBackend &BE) {
+  if (Now < NextDue)
+    return;
+  Cycle Next = NeverDue;
   for (PendingPrefetch &P : Pending) {
-    if (!P.Valid || P.IssueAt > Now)
+    if (!P.Valid)
       continue;
+    if (P.IssueAt > Now) {
+      Next = std::min(Next, P.IssueAt);
+      continue;
+    }
     P.Valid = false;
-    if (Buffer.contains(P.LineAddr))
-      continue;
-    Cycle Ready =
-        BE.fetchBeyondL1(P.LineAddr, Now, AccessKind::HardwarePrefetch);
-    Buffer.insert(P.LineAddr, Ready);
-    ++LinesPrefetched;
+    if (Buffer.fetch(P.LineAddr, Now, BE))
+      ++LinesPrefetched;
   }
+  NextDue = Next;
 }
 
 void TskidPrefetcher::schedule(Addr LineAddr, Cycle IssueAt, Cycle Now,
                                MemoryBackend &BE) {
   if (IssueAt <= Now) {
     // Due immediately (short skid): no timing value in queueing.
-    if (!Buffer.contains(LineAddr)) {
-      Cycle Ready =
-          BE.fetchBeyondL1(LineAddr, Now, AccessKind::HardwarePrefetch);
-      Buffer.insert(LineAddr, Ready);
+    if (Buffer.fetch(LineAddr, Now, BE))
       ++LinesPrefetched;
-    }
     return;
   }
   ++DelayedIssues;
@@ -81,6 +88,7 @@ void TskidPrefetcher::schedule(Addr LineAddr, Cycle IssueAt, Cycle Now,
   Victim->Valid = true;
   Victim->LineAddr = LineAddr;
   Victim->IssueAt = IssueAt;
+  NextDue = std::min(NextDue, IssueAt);
 }
 
 void TskidPrefetcher::trainOnFill(Addr /*LineAddr*/, Cycle /*Ready*/,

@@ -25,6 +25,7 @@
 #include "hwpf/PrefetchBuffer.h"
 #include "mem/MemorySystem.h"
 
+#include <string>
 #include <vector>
 
 namespace trident {
@@ -43,7 +44,13 @@ struct TskidConfig {
   /// Skids shorter than this issue immediately (no timing value).
   unsigned MinSkidCycles = 64;
 
+  /// Upper bound of the four table sizes above.
+  static constexpr unsigned MaxSize = 1024;
+
   static TskidConfig baseline() { return TskidConfig(); }
+  /// Why no unit can be built from this config, or "" when one can. The
+  /// constructor CHECKs it; the registry returns it as the spec error.
+  std::string invalidReason() const;
 };
 
 class TskidPrefetcher final : public HwPrefetcher {
@@ -88,6 +95,8 @@ private:
     Cycle IssueAt = 0;
   };
 
+  static constexpr Cycle NeverDue = ~static_cast<Cycle>(0);
+
   void drainPending(Cycle Now, MemoryBackend &BE);
   void schedule(Addr LineAddr, Cycle IssueAt, Cycle Now, MemoryBackend &BE);
 
@@ -97,6 +106,10 @@ private:
   std::vector<TriggerEntry> Triggers;
   std::vector<RecentMiss> Recent;
   std::vector<PendingPrefetch> Pending;
+  /// No valid Pending entry is due before this cycle. schedule() lowers
+  /// it; each full drain scan recomputes it. A stale, too-low bound only
+  /// costs one needless scan.
+  Cycle NextDue = NeverDue;
   unsigned RecentHand = 0;
   PrefetchBuffer Buffer;
 

@@ -115,4 +115,18 @@ checkFail(const char *CondStr, const char *File, int Line, const char *Func,
   } while (0)
 #endif
 
+namespace trident {
+
+/// Returns \p Config after CHECKing that its invalidReason() is empty.
+/// Meant for constructor initializer lists, so that no member is sized
+/// from a config the constructor would reject.
+template <typename ConfigT>
+const ConfigT &checkedConfig(const ConfigT &Config) {
+  const auto Why = Config.invalidReason();
+  TRIDENT_CHECK(Why.empty(), "%s", Why.c_str());
+  return Config;
+}
+
+} // namespace trident
+
 #endif // TRIDENT_SUPPORT_CHECK_H

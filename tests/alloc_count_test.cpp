@@ -3,8 +3,8 @@
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
 // The zero-alloc cycle-loop contract: once the machine is warmed up, the
-// pure-hardware simulation path (SmtCore::run + MemorySystem + stream
-// buffers + branch predictor) performs ZERO heap allocations per simulated
+// pure-hardware simulation path (SmtCore::run + MemorySystem + hardware
+// prefetcher + branch predictor) performs ZERO heap allocations per simulated
 // cycle inside the measurement window. Every hardware structure is a
 // fixed-capacity table reserved at construction; steady-state simulation
 // is pointer arithmetic over those tables.
@@ -93,21 +93,30 @@ uint64_t countedRun(Machine &M, uint64_t Instructions) {
 //===----------------------------------------------------------------------===//
 
 TEST(AllocCount, HardwareBaselineSteadyStateIsAllocFree) {
-  // A memory-bound and a compute-bound workload cover both ends of the
-  // hardware path (stream-buffer churn vs issue-limited ALU work).
-  for (const char *Name : {"mcf", "dot", "equake", "swim"}) {
-    // Warmup long enough that the working set's pages, the stream-buffer
-    // rings, and the ROB heap all reach their steady-state footprint.
+  // Warmup long enough that the working set's pages, the prefetcher's
+  // tables and buffers, and the ROB heap all reach their steady-state
+  // footprint.
+  auto Check = [](const char *Name, const char *HwPf) {
     const Workload W = makeWorkload(Name);
     SimConfig C = SimConfig::hwBaseline();
     C.WarmupInstructions = 150'000;
+    C.HwPf = HwPf;
     Machine M(W, C);
     M.warmup();
     uint64_t Allocs = countedRun(M, 40'000);
     EXPECT_EQ(Allocs, 0u)
-        << Name << ": the pure-hardware measurement window heap-allocated "
-        << Allocs << " time(s); the cycle loop must be allocation-free";
-  }
+        << Name << " under " << HwPf
+        << ": the pure-hardware measurement window heap-allocated " << Allocs
+        << " time(s); the cycle loop must be allocation-free";
+  };
+  // A memory-bound and a compute-bound workload cover both ends of the
+  // hardware path (stream-buffer churn vs issue-limited ALU work).
+  for (const char *Name : {"mcf", "dot", "equake", "swim"})
+    Check(Name, "sb8x8");
+  // Every other arsenal unit sizes its tables and prefetch buffer at
+  // construction too.
+  for (const char *HwPf : {"enhanced-stream", "dcpt", "tskid", "sb4x4"})
+    Check("mcf", HwPf);
 }
 
 TEST(AllocCount, RecycledSlabHandoutIsAllocFree) {

@@ -15,7 +15,9 @@
 //     executes it to the same statistics;
 //   - two multi-programmed mixes, pinning the co-lane scheduler, the
 //     shared memory system and (in the four-lane row) the selector's
-//     monitor across revisions.
+//     monitor across revisions;
+//   - one mcf+swim mix per arsenal unit (enhanced-stream, DCPT, T-SKID),
+//     pinning each unit's training, issue and prefetch-buffer behaviour.
 //
 // The named-workload rows run as GoldenStats.* (ctest: golden_stats_test),
 // the fuzz and mix rows as FuzzGolden.* (ctest: fuzz_golden_test); both
@@ -67,7 +69,9 @@ struct Scenario {
 /// segments with fast phase changes, and many streams over a large working
 /// set. Then two mixes: mcf against art (mix_determinism_test's pairing),
 /// and a fuzzed primary with three co-runners under dcpt and the bandit
-/// selector.
+/// selector. Last, mcf against swim under each arsenal unit for the whole
+/// run: every one of them prefetches thousands of lines there and serves
+/// thousands of probe hits from its prefetch buffer.
 const Scenario kCorpus[] = {
     {"applu", "applu"},     {"art", "art"},         {"dot", "dot"},
     {"equake", "equake"},   {"facerec", "facerec"}, {"fma3d", "fma3d"},
@@ -82,6 +86,9 @@ const Scenario kCorpus[] = {
     {"mcf", "mix_mcf_art", {"art"}},
     {"fuzz@106", "mix_fuzz_106",
      {"art", "fuzz@107:wset=512,segs=8", "swim"}, "dcpt", "bandit"},
+    {"mcf", "mix_mcf_swim_enhanced_stream", {"swim"}, "enhanced-stream"},
+    {"mcf", "mix_mcf_swim_dcpt", {"swim"}, "dcpt"},
+    {"mcf", "mix_mcf_swim_tskid", {"swim"}, "tskid"},
 };
 
 /// The snapshot budget: small enough that the corpus runs in seconds, long

@@ -6,15 +6,19 @@
 
 #include "hwpf/Dcpt.h"
 #include "hwpf/EnhancedStream.h"
+#include "hwpf/PrefetchBuffer.h"
 #include "hwpf/PrefetcherRegistry.h"
 #include "hwpf/StreamBuffer.h"
 #include "hwpf/StridePredictor.h"
 #include "hwpf/Tskid.h"
 #include "mem/MemorySystem.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <vector>
 
 using namespace trident;
 
@@ -212,6 +216,130 @@ TEST(StreamBuffer, PageBoundaryStopWhenConfigured) {
 }
 
 //===----------------------------------------------------------------------===//
+// PrefetchBuffer
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The array-of-structs buffer the packed one replaced, kept as its
+/// reference model: a valid bit per slot, a full scan per operation, and
+/// fetch spelled out as contains, then fetchBeyondL1, then insert.
+class RefPrefetchBuffer {
+public:
+  explicit RefPrefetchBuffer(unsigned Capacity)
+      : Slots(Capacity == 0 ? 1 : Capacity) {}
+
+  bool contains(Addr LineAddr) const {
+    for (const Slot &S : Slots)
+      if (S.Valid && S.LineAddr == LineAddr)
+        return true;
+    return false;
+  }
+
+  std::optional<Cycle> take(Addr LineAddr) {
+    for (Slot &S : Slots)
+      if (S.Valid && S.LineAddr == LineAddr) {
+        S.Valid = false;
+        return S.Ready;
+      }
+    return std::nullopt;
+  }
+
+  void insert(Addr LineAddr, Cycle Ready) {
+    for (Slot &S : Slots)
+      if (S.Valid && S.LineAddr == LineAddr) {
+        S.Ready = Ready;
+        return;
+      }
+    Slots[Hand] = {true, LineAddr, Ready};
+    Hand = (Hand + 1) % static_cast<unsigned>(Slots.size());
+  }
+
+  bool fetch(Addr LineAddr, Cycle Now, MemoryBackend &BE) {
+    if (contains(LineAddr))
+      return false;
+    insert(LineAddr,
+           BE.fetchBeyondL1(LineAddr, Now, AccessKind::HardwarePrefetch));
+    return true;
+  }
+
+  void clear() {
+    for (Slot &S : Slots)
+      S.Valid = false;
+    Hand = 0;
+  }
+
+private:
+  struct Slot {
+    bool Valid = false;
+    Addr LineAddr = 0;
+    Cycle Ready = 0;
+  };
+  std::vector<Slot> Slots;
+  unsigned Hand = 0;
+};
+
+/// Answers every fill with a ready cycle no earlier call got, and logs the
+/// lines and kinds it was asked for.
+class LoggingBackend final : public MemoryBackend {
+public:
+  Cycle fetchBeyondL1(Addr LineAddr, Cycle Now, AccessKind Kind) override {
+    Fills.push_back(LineAddr);
+    Kinds.push_back(Kind);
+    return Now + 1000 + Fills.size();
+  }
+  unsigned lineSize() const override { return 64; }
+
+  std::vector<Addr> Fills;
+  std::vector<AccessKind> Kinds;
+};
+
+} // namespace
+
+TEST(PrefetchBuffer, MatchesReferenceModelInLockStep) {
+  for (unsigned Capacity : {1u, 3u, 32u}) {
+    for (uint64_t Seed : {1ull, 2ull, 3ull}) {
+      PrefetchBuffer B(Capacity);
+      RefPrefetchBuffer R(Capacity);
+      LoggingBackend BB, RB;
+      SplitMix64 Rng(Seed);
+      // Half again as many lines as slots: lines are evicted, re-fetched,
+      // refreshed and hit.
+      const uint64_t NumLines = Capacity + Capacity / 2 + 2;
+      for (unsigned Step = 0; Step < 4000; ++Step) {
+        const Addr Line = Rng.nextBelow(NumLines) * 64;
+        const Cycle Now = Step;
+        const uint64_t Op = Rng.nextBelow(100);
+        if (Op < 25) {
+          B.insert(Line, Now * 3 + 1);
+          R.insert(Line, Now * 3 + 1);
+        } else if (Op < 50) {
+          ASSERT_EQ(B.take(Line), R.take(Line)) << "step " << Step;
+        } else if (Op < 65) {
+          ASSERT_EQ(B.contains(Line), R.contains(Line)) << "step " << Step;
+        } else if (Op < 99) {
+          ASSERT_EQ(B.fetch(Line, Now, BB), R.fetch(Line, Now, RB))
+              << "step " << Step;
+        } else {
+          B.clear();
+          R.clear();
+        }
+        ASSERT_EQ(BB.Fills, RB.Fills) << "step " << Step;
+        // Same residency after every step, so the two evict the same line
+        // in the same order.
+        for (uint64_t L = 0; L < NumLines; ++L)
+          ASSERT_EQ(B.contains(L * 64), R.contains(L * 64))
+              << "capacity " << Capacity << " seed " << Seed << " step "
+              << Step << " line " << L;
+      }
+      EXPECT_GT(BB.Fills.size(), 100u) << "the stream barely fetched";
+      for (AccessKind K : BB.Kinds)
+        EXPECT_EQ(K, AccessKind::HardwarePrefetch);
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // EnhancedStreamPrefetcher
 //===----------------------------------------------------------------------===//
 
@@ -332,6 +460,17 @@ TEST(Dcpt, PcAliasingResetsEntry) {
   U.trainOnMiss(0x110, 5000 * 64, Now += 10, M);
   U.trainOnMiss(0x100, 76 * 64, Now += 10, M);
   EXPECT_EQ(U.snapshotStats().get("pattern_matches"), 0u);
+}
+
+TEST(Dcpt, RingSlotMatchesModuloFormula) {
+  for (unsigned N : {2u, 3u, 8u})
+    for (unsigned Head = 0; Head < N; ++Head)
+      for (unsigned Count = 0; Count <= N; ++Count)
+        for (unsigned Age = 0; Age < Count; ++Age)
+          EXPECT_EQ(DcptPrefetcher::ringSlot(Head, Count, Age, N),
+                    (Head + N - Count + Age) % N)
+              << "N " << N << " head " << Head << " count " << Count
+              << " age " << Age;
 }
 
 //===----------------------------------------------------------------------===//
@@ -464,6 +603,77 @@ TEST(PrefetcherRegistry, BadKnobsAreRejected) {
                                                   PrefetcherEnv{}, &Error),
             nullptr);
   EXPECT_NE(Error.find("malformed knob"), std::string::npos);
+  // Values a unit cannot be built with are spec errors naming the knob,
+  // not aborts (or faults) in its constructor.
+  const std::pair<const char *, const char *> OutOfRange[] = {
+      {"dcpt:deltas=1", "'deltas'"},
+      {"dcpt:entries=0", "'entries'"},
+      {"dcpt:degree=0", "'degree'"},
+      {"dcpt:deltas=4000000000", "'deltas'"},
+      {"dcpt:buffer=1025", "'buffer'"},
+      {"tskid:entries=0", "'entries'"},
+      {"tskid:recent=0", "'recent'"},
+      {"tskid:pending=0", "'pending'"},
+      {"tskid:pending=1025", "'pending'"},
+      {"enhanced-stream:trainers=0", "'trainers'"},
+      {"enhanced-stream:streams=0", "'streams'"},
+      {"enhanced-stream:degree=0", "'degree'"},
+      {"enhanced-stream:region=0", "'region'"},
+      {"enhanced-stream:depth=1025", "'depth'"},
+      {"sb8x8:history=0", "'history'"},
+      {"sb8x8:history=1000", "'history'"},
+      {"sb8x8:history=2048", "'history'"},
+      {"sb8x8:buffers=0", "'buffers'"},
+      {"sb4x4:buffers=0", "'buffers'"},
+      {"stream:buffers=0", "'buffers'"},
+  };
+  const PrefetcherRegistry &Reg = PrefetcherRegistry::instance();
+  for (const auto &[Spec, Knob] : OutOfRange) {
+    Error.clear();
+    EXPECT_EQ(Reg.create(Spec, PrefetcherEnv{}, &Error), nullptr) << Spec;
+    EXPECT_NE(Error.find(Knob), std::string::npos) << Spec << ": " << Error;
+  }
+}
+
+TEST(PrefetcherRegistry, KnobsAtTheirBoundsBuild) {
+  // The specs benches, tests and docs use, and each knob at the edges of
+  // its range.
+  const char *const InRange[] = {
+      "dcpt:entries=64,degree=2",
+      "enhanced-stream:streams=16",
+      "sb8x8:depth=8",
+      "stream:buffers=8,depth=8",
+      "dcpt:deltas=2,buffer=0",
+      "dcpt:entries=1024,deltas=1024,degree=1024,buffer=1024",
+      "tskid:entries=1,recent=1,pending=1,buffer=0",
+      "tskid:entries=1024,recent=1024,pending=1024,buffer=1024",
+      "enhanced-stream:trainers=1024,streams=1,degree=1024,depth=1024",
+      "enhanced-stream:depth=0,region=1",
+      "sb8x8:depth=0,history=1",
+      "sb4x4:buffers=1024,history=1024",
+  };
+  const PrefetcherRegistry &Reg = PrefetcherRegistry::instance();
+  for (const char *Spec : InRange) {
+    std::string Error;
+    EXPECT_NE(Reg.create(Spec, PrefetcherEnv{}, &Error), nullptr)
+        << Spec << ": " << Error;
+  }
+}
+
+TEST(PrefetcherRegistryDeathTest, ConstructorsCheckTheirConfig) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DcptConfig D;
+  D.NumDeltas = 1;
+  EXPECT_DEATH(DcptPrefetcher{D}, "dcpt knob 'deltas'");
+  TskidConfig T;
+  T.PendingDepth = 0;
+  EXPECT_DEATH(TskidPrefetcher{T}, "tskid knob 'pending'");
+  EnhancedStreamConfig E;
+  E.RegionLines = 0;
+  EXPECT_DEATH(EnhancedStreamPrefetcher{E}, "knob 'region'");
+  StreamBufferConfig S;
+  S.NumBuffers = 0;
+  EXPECT_DEATH(StreamBufferUnit{S}, "knob 'buffers'");
 }
 
 TEST(PrefetcherRegistry, SignedKnobValuesAreRejected) {

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""trident_sim rejects bad numeric flags with a usage error.
+"""trident_sim rejects bad numeric flags and prefetcher knobs with a usage
+error.
 
   python3 tools/test_trident_sim.py PATH/TO/trident_sim
 
 Every invocation in BAD must exit 2 with an `error:` line on stderr, before
 any machine is built (so quickly: a run that hangs or aborts fails). The
-GOOD invocations are edge values that must stay valid.
+GOOD invocations are edge values and documented specs that must stay valid.
 """
 
 import subprocess
@@ -31,10 +32,27 @@ BAD = [
     ["--dlt-entries", "0"],
     ["--dlt-entries", "3"],
     ["--trace-capacity", "0"],
+    ["--hwpf", "dcpt:deltas=1"],
+    ["--hwpf", "dcpt:entries=0"],
+    ["--hwpf", "dcpt:degree=0"],
+    ["--hwpf", "dcpt:deltas=4000000000"],
+    ["--hwpf", "tskid:entries=0"],
+    ["--hwpf", "tskid:recent=0"],
+    ["--hwpf", "tskid:pending=0"],
+    ["--hwpf", "enhanced-stream:trainers=0"],
+    ["--hwpf", "enhanced-stream:streams=0"],
+    ["--hwpf", "enhanced-stream:degree=0"],
+    ["--hwpf", "enhanced-stream:region=0"],
+    ["--hwpf", "sb8x8:history=0"],
+    ["--hwpf", "sb8x8:buffers=0"],
+    ["--hwpf", "sb4x4:buffers=0"],
+    ["--hwpf", "stream:buffers=0"],
 ]
 
 GOOD = [
     ["--warmup", "0", "--hwpf-feedback", "0", "--distance-cap", "1"],
+    ["--hwpf", "dcpt:entries=64,degree=2"],
+    ["--hwpf", "enhanced-stream:streams=16"],
 ]
 
 
