@@ -31,6 +31,7 @@
 #ifndef TRIDENT_CORE_PREFETCHPLANNER_H
 #define TRIDENT_CORE_PREFETCHPLANNER_H
 
+#include "core/RepairPolicy.h"
 #include "dlt/DelinquentLoadTable.h"
 #include "isa/Instruction.h"
 
@@ -70,26 +71,6 @@ struct PlannedPrefetch {
   /// PointerDeref: second-level prefetch offsets (the next object's lines).
   std::vector<int64_t> DerefOffsets;
   unsigned GroupId = 0;
-};
-
-/// Per-covered-load repair bookkeeping ("the optimizer always maintains
-/// relevant information from all delinquent loads, such as the number of
-/// repairs left ... and the average access latency history", Section
-/// 3.5.2). Kept per load: triggers from different loads of one group must
-/// not be compared against each other's latency history.
-struct LoadRepairState {
-  int RepairsLeft = 0;
-  double LastAvgAccessLatency = -1.0;
-  /// Direction of the previous distance adjustment (+1/-1). Repair is a
-  /// 1-D hill climb: keep moving while the latency improves, reverse when
-  /// it clearly worsens. (A naive "decrement whenever latency rose"
-  /// cascades to distance 1: each decrement worsens latency, which the
-  /// rule reads as another decrement.)
-  int LastMove = +1;
-  /// Best observation so far; restored when the repair budget expires.
-  double BestAvgAccessLatency = -1.0;
-  int BestDistance = 1;
-  bool Mature = false;
 };
 
 /// A same-object group sharing one repairable distance (repairing "all

@@ -173,23 +173,20 @@ void TridentRuntime::accountPhase(Addr PC) {
 
 void TridentRuntime::onPhaseChange() {
   TRIDENT_DBG("[trident] phase change: clearing mature flags\n");
-  uint64_t Cleared = Dlt.clearAllMature();
-  Stats.MatureFlagsCleared += Cleared;
+  Stats.MatureFlagsCleared += Dlt.clearAllMature();
   for (TraceMeta &M : Traces) {
     // Loads the planner could not classify before may classify now (e.g.
     // an index stream that turned regular): let them be re-identified.
     Stats.MatureFlagsCleared += M.Plan.UncoverableLoadIdxs.size();
     M.Plan.UncoverableLoadIdxs.clear();
-    for (PrefetchGroup &G : M.Plan.Groups) {
-      for (LoadRepairState &LS : G.PerLoad) {
+    for (PrefetchGroup &G : M.Plan.Groups)
+      for (size_t I = 0; I < G.PerLoad.size(); ++I) {
+        LoadRepairState &LS = G.PerLoad[I];
         if (!LS.Mature)
           continue;
-        LS.Mature = false;
-        // A fresh (smaller) budget: enough to re-adapt, not to thrash.
-        LS.RepairsLeft = std::max(LS.RepairsLeft, G.MaxDistance);
-        LS.LastAvgAccessLatency = -1.0;
+        applyRepair(M, G, LS, M.CacheAddr + M.OldToNew[G.CoveredLoadIdxs[I]],
+                    repair::phaseReset);
       }
-    }
   }
 }
 
@@ -315,9 +312,7 @@ void TridentRuntime::handleLoad(const HardwareEvent &Ev) {
     ++Stats.LoadMissesTotal;
     if (InTrace) {
       ++Stats.LoadMissesInTraces;
-      uint32_t Tid = CC.traceIdAt(PC);
-      if (Traces[Tid].LoadPCToBaseIdx.count(PC) &&
-          Traces[Tid].Plan.groupCovering(Traces[Tid].LoadPCToBaseIdx[PC]))
+      if (coveredLoad(Traces[CC.traceIdAt(PC)], PC).first)
         ++Stats.LoadMissesCovered;
     }
   }
@@ -394,11 +389,18 @@ void TridentRuntime::onStubDone(void *Self, Cycle) {
   static_cast<TridentRuntime *>(Self)->finishPendingWork();
 }
 
-TridentRuntime::PendingWork &TridentRuntime::parkWork(PendingWork::Kind K) {
+void TridentRuntime::launchHelper(PendingWork::Kind K, uint64_t WorkCycles,
+                                  uint32_t TraceId, Addr LoadPC) {
   TRIDENT_DCHECK(Pending.WorkKind == PendingWork::Kind::None,
-                 "helper work parked while another unit is in flight");
+                 "helper work launched while another unit is in flight");
+  // The spawn is noted in the Section 3.1 registration structure.
+  Registration.HelperActive = true;
+  ++Registration.Invocations;
   Pending.WorkKind = K;
-  return Pending;
+  Pending.TraceId = TraceId;
+  Pending.LoadPC = LoadPC;
+  Core.startStub(Config.HelperCtx, WorkCycles, Config.Cost.StartupCycles,
+                 {&TridentRuntime::onStubDone, this});
 }
 
 void TridentRuntime::finishPendingWork() {
@@ -418,7 +420,7 @@ void TridentRuntime::finishPendingWork() {
                     std::move(W.ClearPCs));
     break;
   case PendingWork::Kind::Repair:
-    finishRepair(W.TraceId, W.BaseIdx, W.LoadPC);
+    finishRepair(W.TraceId, W.LoadPC);
     break;
   case PendingWork::Kind::Mature:
     finishMature(W.TraceId, W.LoadPC);
@@ -427,10 +429,6 @@ void TridentRuntime::finishPendingWork() {
   dispatchNext();
 }
 
-/// Marks a helper invocation in the registration structure (all stub
-/// launches funnel through the two start*Work paths and beginInsertion).
-#define TRIDENT_NOTE_HELPER_SPAWN()                                             do {                                                                            Registration.HelperActive = true;                                             ++Registration.Invocations;                                                 } while (0)
-
 void TridentRuntime::startHotTraceWork(const HotTraceCandidate &Cand) {
   std::optional<Trace> T =
       Builder.build(Prog, Cand, static_cast<uint32_t>(Traces.size()));
@@ -438,12 +436,10 @@ void TridentRuntime::startHotTraceWork(const HotTraceCandidate &Cand) {
     dispatchNext();
     return;
   }
-  uint64_t Work = Config.Cost.traceFormation(static_cast<unsigned>(T->size()));
-  Registration.HelperActive = true;
-  ++Registration.Invocations;
-  parkWork(PendingWork::Kind::Formation).FormedTrace = std::move(*T);
-  Core.startStub(Config.HelperCtx, Work, Config.Cost.StartupCycles,
-                 {&TridentRuntime::onStubDone, this});
+  Pending.FormedTrace = std::move(*T);
+  launchHelper(PendingWork::Kind::Formation,
+               Config.Cost.traceFormation(
+                   static_cast<unsigned>(Pending.FormedTrace.size())));
 }
 
 void TridentRuntime::finishTraceFormation(Trace T) {
@@ -470,7 +466,6 @@ void TridentRuntime::installBody(TraceMeta &M,
                                  const std::vector<unsigned> &OldToNew,
                                  const std::vector<unsigned> &PatchSlots) {
   bool Reinstall = M.CacheAddr != 0;
-  Addr PrevHead = M.CacheAddr;
   M.CacheAddr = CC.install(Body, M.Id);
   M.Installs.emplace_back(M.CacheAddr, Body.size());
 
@@ -498,7 +493,6 @@ void TridentRuntime::installBody(TraceMeta &M,
     for (size_t R = 0; R + 1 < M.Installs.size(); ++R)
       retarget(M.Installs[R].first, M.Installs[R].second,
                /*OldHead=*/M.Installs[R].first);
-  (void)PrevHead;
 
   M.OldToNew = OldToNew;
   M.PrefetchSlotAddrs.assign(PatchSlots.size(), 0);
@@ -539,12 +533,8 @@ unsigned TridentRuntime::invalidateAllTraces() {
     // alone — mid-iteration control flow is untouched, so semantics are
     // preserved.
     auto IsGenerationHead = [&M](Addr T) {
-      for (const auto &[Start, Len] : M.Installs) {
-        (void)Len;
-        if (T == Start)
-          return true;
-      }
-      return false;
+      return std::any_of(M.Installs.begin(), M.Installs.end(),
+                         [T](const auto &In) { return In.first == T; });
     };
     for (const auto &[Start, Len] : M.Installs)
       for (size_t I = 0; I < Len; ++I) {
@@ -600,76 +590,45 @@ int TridentRuntime::estimateDistance(const TraceMeta &M,
   return std::clamp(D, 1, Config.DistanceCap);
 }
 
-void TridentRuntime::startDelinquentWork(Addr LoadPC, uint32_t TraceId) {
-  TRIDENT_CHECK(TraceId < Traces.size(), "event for unknown trace");
-  TraceMeta &M = Traces[TraceId];
+int TridentRuntime::seedDistance(const TraceMeta &M, Addr TriggerPC) const {
+  // Section 3.5.1; the fixed-distance modes and the Section 5.3 "alternate
+  // strategy" ablation start at the equation-2 estimate.
+  return Config.Mode == PrefetchMode::SelfRepairing &&
+                 !Config.SelfRepairInitialEstimate
+             ? repair::StartDistance
+             : estimateDistance(M, TriggerPC);
+}
 
+std::pair<PrefetchGroup *, LoadRepairState *>
+TridentRuntime::coveredLoad(TraceMeta &M, Addr LoadPC) {
   auto It = M.LoadPCToBaseIdx.find(LoadPC);
   PrefetchGroup *G = It == M.LoadPCToBaseIdx.end()
                          ? nullptr
                          : M.Plan.groupCovering(It->second);
+  return {G, G ? G->stateFor(It->second) : nullptr};
+}
 
-  if (G) {
-    LoadRepairState *LS = G->stateFor(It->second);
-    // A settled load only re-raises a DelinquentLoad event after its DLT
-    // entry was lost (capacity or fault eviction) *and* it re-crossed the
-    // delinquency threshold: the memory behaviour its distance settled
-    // against is gone. Self-repair re-opens the load with a fresh budget;
-    // the first re-opened load of a fully settled group also re-seeds the
-    // shared distance so the hill climb restarts from the mode's seed
-    // instead of a distance tuned for the old regime (Section 3.5.2).
-    if (G->Repairable && LS && LS->Mature &&
-        Config.Mode == PrefetchMode::SelfRepairing) {
-      bool GroupSettled = true;
-      for (const LoadRepairState &Other : G->PerLoad)
-        if (!Other.Mature)
-          GroupSettled = false;
-      if (GroupSettled)
-        G->Distance = Config.SelfRepairInitialEstimate
-                          ? estimateDistance(M, LoadPC)
-                          : 1;
-      LS->Mature = false;
-      LS->RepairsLeft = 2 * G->MaxDistance;
-      LS->LastAvgAccessLatency = -1.0;
-      LS->BestAvgAccessLatency = -1.0;
-      LS->BestDistance = G->Distance;
-      LS->LastMove = +1;
-      ++Stats.RepairsReopened;
-      TRIDENT_DBG("[trident] reopen trace=%u load=0x%llx dist=%d "
-                  "(budget %d)\n",
-                  TraceId, (unsigned long long)LoadPC, G->Distance,
-                  LS->RepairsLeft);
-    }
-    bool CanRepair = G->Repairable && LS && !LS->Mature &&
-                     Config.Mode == PrefetchMode::SelfRepairing;
-    if (CanRepair) {
-      unsigned N = static_cast<unsigned>(G->CoveredLoadIdxs.size());
-      uint64_t Work = Config.Cost.repair(N);
-      unsigned BaseIdx = It->second;
-      TRIDENT_NOTE_HELPER_SPAWN();
-      PendingWork &W = parkWork(PendingWork::Kind::Repair);
-      W.TraceId = TraceId;
-      W.BaseIdx = BaseIdx;
-      W.LoadPC = LoadPC;
-      Core.startStub(Config.HelperCtx, Work, Config.Cost.StartupCycles,
-                     {&TridentRuntime::onStubDone, this});
-      return;
-    }
-    // Covered but not repairable (pointer-only group, or a fixed-distance
-    // mode): mark mature so it stops raising events (Section 3.5.2).
-    uint64_t Work = Config.Cost.repair(1);
-    TRIDENT_NOTE_HELPER_SPAWN();
-    PendingWork &W = parkWork(PendingWork::Kind::Mature);
-    W.TraceId = TraceId;
-    W.LoadPC = LoadPC;
-    Core.startStub(Config.HelperCtx, Work, Config.Cost.StartupCycles,
-                   {&TridentRuntime::onStubDone, this});
+void TridentRuntime::startDelinquentWork(Addr LoadPC, uint32_t TraceId) {
+  TRIDENT_CHECK(TraceId < Traces.size(), "event for unknown trace");
+  TraceMeta &M = Traces[TraceId];
+  auto [G, LS] = coveredLoad(M, LoadPC);
+  if (!G) {
+    // Not covered yet: plan prefetches for every delinquent load in the
+    // trace and regenerate the trace body.
+    beginInsertion(M, LoadPC);
     return;
   }
-
-  // Not covered yet: plan prefetches for every delinquent load in the
-  // trace and regenerate the trace body.
-  beginInsertion(M, LoadPC);
+  // Covered: repair the distance, or, when it is not repairable (pointer-
+  // only group, or a fixed-distance mode), mark the load mature so it stops
+  // raising events (Section 3.5.2).
+  const bool Repair =
+      G->Repairable && Config.Mode == PrefetchMode::SelfRepairing;
+  if (Repair && LS->Mature)
+    applyRepair(M, *G, *LS, LoadPC, repair::reopen);
+  const unsigned Loads =
+      Repair ? static_cast<unsigned>(G->CoveredLoadIdxs.size()) : 1u;
+  launchHelper(Repair ? PendingWork::Kind::Repair : PendingWork::Kind::Mature,
+               Config.Cost.repair(Loads), TraceId, LoadPC);
 }
 
 void TridentRuntime::beginInsertion(TraceMeta &M, Addr TriggerPC) {
@@ -688,14 +647,7 @@ void TridentRuntime::beginInsertion(TraceMeta &M, Addr TriggerPC) {
                   (long long)DL.Stride, DL.StrideFromDlt,
                   (long long)DL.Offset, DL.AvgMissLatency);
 
-  // Seed distance by mode (Section 3.5.1: adaptive starts at 1, unless
-  // the Section 5.3 "alternate strategy" ablation is enabled).
-  int InitialDistance =
-      Config.Mode == PrefetchMode::SelfRepairing &&
-              !Config.SelfRepairInitialEstimate
-          ? 1
-          : estimateDistance(M, TriggerPC);
-
+  const int InitialDistance = seedDistance(M, TriggerPC);
   TRIDENT_DBG("[trident] plan trace=%u trigger=0x%llx initial distance=%d "
               "(mode %s)\n",
               M.Id, (unsigned long long)TriggerPC, InitialDistance,
@@ -706,48 +658,32 @@ void TridentRuntime::beginInsertion(TraceMeta &M, Addr TriggerPC) {
   unsigned Covered = Planner.plan(M.BaseBody, Loads, NewPlan,
                                   InitialDistance);
 
-  // Initialize repair budgets: "when a load is first optimized, we set a
-  // repair counter for the load to [twice the maximal distance]".
-  int MaxD = maxDistanceFor(M);
+  const int MaxD = maxDistanceFor(M);
   for (size_t GI = PrevGroups; GI < NewPlan.Groups.size(); ++GI) {
     PrefetchGroup &G = NewPlan.Groups[GI];
     G.MaxDistance = MaxD;
     for (LoadRepairState &LS : G.PerLoad)
-      LS.RepairsLeft = 2 * MaxD;
+      LS = repair::begin(MaxD);
   }
-
-  std::vector<Addr> ClearPCs;
-  for (const DelinquentLoad &DL : Loads)
-    ClearPCs.push_back(DL.PC);
-  ClearPCs.push_back(TriggerPC);
 
   if (Covered == 0 && NewPlan.UncoverableLoadIdxs.size() == PrevUncoverable) {
     // Nothing new to do (e.g. the trigger load's window cleared between
     // event and dispatch): mature the trigger so it stops firing.
-    uint32_t TraceId = M.Id;
-    TRIDENT_NOTE_HELPER_SPAWN();
-    PendingWork &W = parkWork(PendingWork::Kind::Mature);
-    W.TraceId = TraceId;
-    W.LoadPC = TriggerPC;
-    Core.startStub(Config.HelperCtx, Config.Cost.repair(1),
-                   Config.Cost.StartupCycles,
-                   {&TridentRuntime::onStubDone, this});
+    launchHelper(PendingWork::Kind::Mature, Config.Cost.repair(1), M.Id,
+                 TriggerPC);
     return;
   }
 
-  PlanEmission Emission = Planner.emit(M.BaseBody, NewPlan);
-  uint64_t Work = Config.Cost.prefetchInsertion(
-      static_cast<unsigned>(M.BaseBody.size()),
-      static_cast<unsigned>(Loads.size()));
-  uint32_t TraceId = M.Id;
-  TRIDENT_NOTE_HELPER_SPAWN();
-  PendingWork &W = parkWork(PendingWork::Kind::Insertion);
-  W.TraceId = TraceId;
-  W.Plan = std::move(NewPlan);
-  W.Emission = std::move(Emission);
-  W.ClearPCs = std::move(ClearPCs);
-  Core.startStub(Config.HelperCtx, Work, Config.Cost.StartupCycles,
-                 {&TridentRuntime::onStubDone, this});
+  for (const DelinquentLoad &DL : Loads)
+    Pending.ClearPCs.push_back(DL.PC);
+  Pending.ClearPCs.push_back(TriggerPC);
+  Pending.Emission = Planner.emit(M.BaseBody, NewPlan);
+  Pending.Plan = std::move(NewPlan);
+  launchHelper(PendingWork::Kind::Insertion,
+               Config.Cost.prefetchInsertion(
+                   static_cast<unsigned>(M.BaseBody.size()),
+                   static_cast<unsigned>(Loads.size())),
+               M.Id);
 }
 
 void TridentRuntime::finishInsertion(uint32_t TraceId, PrefetchPlan NewPlan,
@@ -768,15 +704,18 @@ void TridentRuntime::finishInsertion(uint32_t TraceId, PrefetchPlan NewPlan,
               Emission.NewBody.size(), (unsigned long long)M.CacheAddr);
 
   // Mature the loads the planner could not cover, at their new addresses.
-  for (unsigned BaseIdx : M.Plan.UncoverableLoadIdxs) {
-    Dlt.forceMature(M.CacheAddr + M.OldToNew[BaseIdx]);
-    ++Stats.LoadsMatured;
-  }
+  for (unsigned BaseIdx : M.Plan.UncoverableLoadIdxs)
+    matureLoad(M.CacheAddr + M.OldToNew[BaseIdx]);
   // The helper thread clears the processed loads' window counters.
   for (Addr PC : ClearPCs)
     Dlt.clearWindow(PC);
 
   clearOptFlag(TraceId);
+}
+
+void TridentRuntime::matureLoad(Addr LoadPC) {
+  Dlt.forceMature(LoadPC);
+  ++Stats.LoadsMatured;
 }
 
 void TridentRuntime::patchPrefetchSlots(const TraceMeta &M,
@@ -790,123 +729,64 @@ void TridentRuntime::patchPrefetchSlots(const TraceMeta &M,
   }
 }
 
-void TridentRuntime::finishRepair(uint32_t TraceId, unsigned BaseIdx,
-                                  Addr LoadPC) {
-  TraceMeta &M = Traces[TraceId];
-  PrefetchGroup *G = M.Plan.groupCovering(BaseIdx);
-  LoadRepairState *LS = G ? G->stateFor(BaseIdx) : nullptr;
-  if (!G || !LS || LS->Mature) {
-    Dlt.clearWindow(LoadPC);
-    clearOptFlag(TraceId);
-    return;
+void TridentRuntime::applyRepair(TraceMeta &M, PrefetchGroup &G,
+                                 LoadRepairState &LS, Addr LoadPC,
+                                 repair::Rule Rule) {
+  // The policy reads the triggering load's own DLT latency (Section 3.5.2).
+  std::optional<DltSnapshot> S = Dlt.lookup(LoadPC);
+  const RepairDecision D =
+      Rule({LS, G.Distance, G.MaxDistance, S ? S->avgAccessLatency() : 0.0,
+            seedDistance(M, LoadPC), G.exhausted()});
+  TRIDENT_DBG("[trident] %s trace=%u load=0x%llx avg=%.1f dist %d -> %d "
+              "(max %d, repairs left %d)\n",
+              repairReasonName(D.Reason), M.Id, (unsigned long long)LoadPC,
+              D.AvgAccessLatency, D.OldDistance, D.Distance, G.MaxDistance,
+              D.State.RepairsLeft);
+  LS = D.State;
+  G.Distance = D.Distance;
+  switch (D.Reason) {
+  case RepairReason::Reopen:
+    ++Stats.RepairsReopened;
+    return; // The repair step it re-opens runs next and does the rest.
+  case RepairReason::PhaseReset:
+    return; // The DLT dropped its mature flags in bulk.
+  case RepairReason::Mature:
+    break;
+  case RepairReason::RegimeRestart:
+    ++Stats.RegimeShiftsDetected;
+    [[fallthrough]];
+  case RepairReason::Climb:
+  case RepairReason::BackOff:
+  case RepairReason::Settle:
+    patchPrefetchSlots(M, G);
+    ++Stats.RepairOptimizations;
+    Stats.LastRepairDistance = D.StepDistance;
+    break;
   }
+  if (D.State.Mature) // a settle or a mature
+    matureLoad(LoadPC);
+  Dlt.clearWindow(LoadPC);
+  clearOptFlag(M.Id);
+}
 
+void TridentRuntime::finishRepair(uint32_t TraceId, Addr LoadPC) {
+  TraceMeta &M = Traces[TraceId];
+  auto [G, LS] = coveredLoad(M, LoadPC);
+  // Only helper finishers change a plan or settle a load, one at a time.
+  TRIDENT_CHECK(G && !LS->Mature, "repair step for a load with no open repair");
   // Re-calculate the maximal prefetch distance from the trace's minimal
   // execution time (Section 3.5.2).
   G->MaxDistance = maxDistanceFor(M);
-
-  // Hill climb on the *triggering load's* average access latency: keep
-  // moving the distance in the direction that has been improving it;
-  // reverse when the latency clearly starts to increase (Section 3.5.2).
-  // The latency history is per load, not per group.
-  double CurAvg = 0.0;
-  if (std::optional<DltSnapshot> S = Dlt.lookup(LoadPC))
-    CurAvg = S->avgAccessLatency();
-  int OldDistance = G->Distance;
-
-  // A downward latency regime shift: the observation collapsed to under a
-  // quarter of the previous one (with an absolute floor so cache-hit-level
-  // noise cannot trigger it). The climb is deliberately biased upward, so
-  // without this it can never descend from a distance tuned for a regime
-  // that no longer exists; restart from the mode's seed with a fresh
-  // budget instead. Only the downward direction restarts: an upward jump
-  // needs a *larger* distance, which the ordinary +1 climb already
-  // delivers from the current operating point — and one successful climb
-  // step can itself halve the observation, so a looser threshold would
-  // read the climb's own progress as a shift.
-  if (LS->LastAvgAccessLatency >= 0.0 && CurAvg > 0.0 &&
-      (CurAvg + 25.0) * 4.0 < LS->LastAvgAccessLatency) {
-    ++Stats.RegimeShiftsDetected;
-    G->Distance = Config.SelfRepairInitialEstimate
-                      ? estimateDistance(M, LoadPC)
-                      : 1;
-    LS->RepairsLeft = std::max(LS->RepairsLeft, 2 * G->MaxDistance);
-    LS->LastAvgAccessLatency = -1.0;
-    LS->BestAvgAccessLatency = -1.0;
-    LS->BestDistance = G->Distance;
-    LS->LastMove = +1;
-    patchPrefetchSlots(M, *G);
-    ++Stats.RepairOptimizations;
-    Stats.LastRepairDistance = G->Distance;
-    TRIDENT_DBG("[trident] regime shift trace=%u load=0x%llx avg=%.1f "
-                "dist %d -> %d\n",
-                TraceId, (unsigned long long)LoadPC, CurAvg, OldDistance,
-                G->Distance);
-    Dlt.clearWindow(LoadPC);
-    clearOptFlag(TraceId);
-    return;
-  }
-
-  // CurAvg was observed while running at the current distance.
-  if (LS->BestAvgAccessLatency < 0.0 || CurAvg < LS->BestAvgAccessLatency) {
-    LS->BestAvgAccessLatency = CurAvg;
-    LS->BestDistance = G->Distance;
-  }
-
-  // Per the paper the distance is biased upward ("increases the load's
-  // prefetch distance by 1 up to its maximal distance") and backs off when
-  // the latency is observed to increase. To stay stable on noisy plateaus:
-  // a decrement is only *repeated* while it clearly keeps helping;
-  // otherwise the bias returns to +1.
-  bool HaveHistory = LS->LastAvgAccessLatency >= 0.0;
-  bool ClearlyWorse =
-      HaveHistory && CurAvg > LS->LastAvgAccessLatency * 1.05 + 1.0;
-  bool ClearlyBetter =
-      HaveHistory && CurAvg < LS->LastAvgAccessLatency * 0.95 - 1.0;
-  int Move = LS->LastMove < 0 ? (ClearlyBetter ? -1 : +1)
-                              : (ClearlyWorse ? -1 : +1);
-  G->Distance = std::clamp(G->Distance + Move, 1, G->MaxDistance);
-  LS->LastMove = Move;
-  LS->LastAvgAccessLatency = CurAvg;
-
-  patchPrefetchSlots(M, *G);
-  ++Stats.RepairOptimizations;
-  Stats.LastRepairDistance = G->Distance;
-  TRIDENT_DBG("[trident] repair trace=%u load=0x%llx avg=%.1f dist %d -> %d "
-              "(max %d, repairs left %d)\n",
-              TraceId, (unsigned long long)LoadPC, CurAvg, OldDistance,
-              G->Distance, G->MaxDistance, LS->RepairsLeft - 1);
-
-  if (--LS->RepairsLeft <= 0) {
-    // Budget spent: settle on the best distance this load observed, then
-    // stop raising events for it.
-    LS->Mature = true;
-    if (LS->BestDistance != G->Distance) {
-      G->Distance = LS->BestDistance;
-      patchPrefetchSlots(M, *G);
-    }
-    Dlt.forceMature(LoadPC);
-    ++Stats.LoadsMatured;
-    TRIDENT_DBG("[trident] matured load=0x%llx (budget spent; settled at "
-                "distance %d)\n",
-                (unsigned long long)LoadPC, G->Distance);
-  }
-
-  Dlt.clearWindow(LoadPC);
-  clearOptFlag(TraceId);
+  applyRepair(M, *G, *LS, LoadPC, repair::step);
 }
 
 void TridentRuntime::finishMature(uint32_t TraceId, Addr LoadPC) {
-  TRIDENT_DBG("[trident] mature trace=%u load=0x%llx (not repairable)\n",
-              TraceId, (unsigned long long)LoadPC);
-  Dlt.forceMature(LoadPC);
-  // Keep the plan's view consistent so repeated events stay cheap.
   TraceMeta &M = Traces[TraceId];
-  auto It = M.LoadPCToBaseIdx.find(LoadPC);
-  if (It != M.LoadPCToBaseIdx.end())
-    if (PrefetchGroup *G = M.Plan.groupCovering(It->second))
-      if (LoadRepairState *LS = G->stateFor(It->second))
-        LS->Mature = true;
-  ++Stats.LoadsMatured;
+  if (auto [G, LS] = coveredLoad(M, LoadPC); G) {
+    applyRepair(M, *G, *LS, LoadPC, repair::mature);
+    return;
+  }
+  // A trigger no group covers has no repair state: only the DLT matures.
+  matureLoad(LoadPC);
   clearOptFlag(TraceId);
 }

@@ -16,10 +16,10 @@
 ///    the helper thread (modeled as a costed work stub on the spare SMT
 ///    context, with the paper's 2000-cycle startup latency),
 ///  * the helper inserts prefetches (PrefetchPlanner) or repairs existing
-///    ones by patching distance immediates in the code cache, following
-///    the adaptive algorithm of Sections 3.5.1-3.5.2 (distance 1 upward,
-///    back off when average access latency rises, 2x-max-distance repair
-///    budget, prefetch maturing).
+///    ones by patching distance immediates in the code cache, as the
+///    adaptive algorithm of Sections 3.5.1-3.5.2 decides (RepairPolicy:
+///    distance 1 upward, back off when average access latency rises,
+///    2x-max-distance repair budget, prefetch maturing).
 ///
 /// PrefetchMode selects the paper's three evaluated schemes (Figure 5):
 /// Basic (estimated fixed distance, no grouping), WholeObject (same-object
@@ -45,6 +45,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace trident {
@@ -268,7 +269,7 @@ private:
   void startHotTraceWork(const HotTraceCandidate &Cand);
   void startDelinquentWork(Addr LoadPC, uint32_t TraceId);
 
-  /// Parks the arguments of the helper-thread work whose costed stub is
+  /// The arguments of the helper-thread work whose costed stub is
   /// currently running on the spare context; the stub-completion
   /// trampoline consumes it. One slot suffices because dispatchNext gates
   /// new work on Core.stubActive, so at most one helper stub is in flight
@@ -282,26 +283,43 @@ private:
     PlanEmission Emission;      ///< Insertion
     std::vector<Addr> ClearPCs; ///< Insertion
     uint32_t TraceId = 0;       ///< Insertion / Repair / Mature
-    unsigned BaseIdx = 0;       ///< Repair
     Addr LoadPC = 0;            ///< Repair / Mature
   };
 
   /// SmtCore stub-completion trampoline (Ctx is the TridentRuntime).
   static void onStubDone(void *Self, Cycle C);
   void finishPendingWork();
-  /// Claims the (empty) pending slot for work of kind \p K.
-  PendingWork &parkWork(PendingWork::Kind K);
+  /// Notes the spawn in the registration structure, parks work of kind
+  /// \p K (callers fill in Pending's payload first) and starts its costed
+  /// stub of \p WorkCycles on the helper context.
+  void launchHelper(PendingWork::Kind K, uint64_t WorkCycles,
+                    uint32_t TraceId = 0, Addr LoadPC = 0);
 
   void finishTraceFormation(Trace T);
   void beginInsertion(TraceMeta &M, Addr TriggerPC);
   void finishInsertion(uint32_t TraceId, PrefetchPlan NewPlan,
                        PlanEmission Emission,
                        std::vector<Addr> ClearPCs);
-  void finishRepair(uint32_t TraceId, unsigned BaseIdx, Addr LoadPC);
+  void finishRepair(uint32_t TraceId, Addr LoadPC);
   void finishMature(uint32_t TraceId, Addr LoadPC);
   /// Rewrites the immediates of \p G's emitted prefetch slots in \p M for
   /// the group's current distance.
   void patchPrefetchSlots(const TraceMeta &M, const PrefetchGroup &G);
+  /// Forces \p LoadPC mature in the DLT so it stops raising events.
+  void matureLoad(Addr LoadPC);
+
+  /// The group covering the load installed at \p LoadPC in \p M and that
+  /// load's repair state, or two nulls.
+  std::pair<PrefetchGroup *, LoadRepairState *> coveredLoad(TraceMeta &M,
+                                                            Addr LoadPC);
+  /// Decides on the covered load at \p LoadPC (state \p LS in group \p G)
+  /// by the policy's \p Rule and carries the decision out. It gathers the
+  /// inputs (the load's DLT latency, the group's distances, the mode's
+  /// seed), stores the load's state and the group's distance, patches the
+  /// slots after a step, and does the DLT, counter and opt-flag
+  /// bookkeeping of the decision's reason.
+  void applyRepair(TraceMeta &M, PrefetchGroup &G, LoadRepairState &LS,
+                   Addr LoadPC, repair::Rule Rule);
 
   /// Installs \p Body for \p M (allocating code cache space, repatching the
   /// entry jump, refreshing the watch table and PC maps).
@@ -310,6 +328,9 @@ private:
                    const std::vector<unsigned> &PatchSlots);
 
   int estimateDistance(const TraceMeta &M, Addr TriggerPC) const;
+  /// The distance a new group, a re-seeded group or a restarted climb
+  /// starts from.
+  int seedDistance(const TraceMeta &M, Addr TriggerPC) const;
   int maxDistanceFor(const TraceMeta &M) const;
   void clearOptFlag(uint32_t TraceId);
 

@@ -26,8 +26,11 @@ trident::assembleSimResult(const MachineSnapshot &M,
                        ? std::string("trident-") +
                              prefetchModeName(Config.Runtime.Mode)
                        : hwPfConfigName(Config.HwPf);
-  if (Config.Selector.enabled())
-    Res.ConfigName += "+" + Config.Selector.shortName();
+  if (Config.Selector.enabled()) {
+    // Two appends: GCC 12's -O3 -Wrestrict misfires on `+= "+" + name`.
+    Res.ConfigName += '+';
+    Res.ConfigName += Config.Selector.shortName();
+  }
   if (!Config.MixWith.empty()) {
     Res.ConfigName += "+mix(";
     for (size_t I = 0; I < Config.MixWith.size(); ++I) {

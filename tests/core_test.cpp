@@ -1,13 +1,19 @@
-//===- core_test.cpp - Unit tests for the prefetch planner -----------------===//
+//===- core_test.cpp - Unit tests for the planner and the repair policy ---===//
 //
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/PrefetchPlanner.h"
+#include "core/RepairPolicy.h"
 #include "dlt/DelinquentLoadTable.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <string>
+#include <vector>
 
 using namespace trident;
 
@@ -438,4 +444,221 @@ TEST(Planner, GroupStateHelpers) {
   EXPECT_FALSE(G.exhausted());
   G.PerLoad[1].Mature = true;
   EXPECT_TRUE(G.exhausted());
+}
+
+//===----------------------------------------------------------------------===//
+// RepairPolicy: the self-repairing distance, one row per Section 3.5 rule
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The repair rule as the paper words it (Section 3.5.2), kept here as the
+/// reference the policy's stabilisers are read against: +1 per event up
+/// to the maximal distance, -1 whenever the latency rose since the last
+/// event, and no hysteresis, settle-on-best or restart.
+struct PaperLiteralPolicy {
+  double Last = -1.0;
+  int step(int Distance, int MaxDistance, double Latency) {
+    const int Move = Last >= 0.0 && Latency > Last ? -1 : +1;
+    Last = Latency;
+    return std::clamp(Distance + Move, 1, MaxDistance);
+  }
+};
+
+/// A closed-loop row: at each delinquent-load event the load observes
+/// Curve(distance) + Drift[event] at the distance the policy chose at the
+/// previous event. Both policies start at distance 1.
+struct ClimbRow {
+  const char *Rule;
+  int MaxDistance;
+  double (*Curve)(int Distance);
+  std::vector<double> Drift; ///< Per event, in order; missing entries = 0.
+  int Events;
+  /// repair::step's distance after each event, until the load settles.
+  std::vector<int> Path;
+  /// One letter per event: Climb, Back-off, Regime restart, Settle.
+  const char *Reasons;
+  /// The paper-literal rule's distance after each of the Events events.
+  std::vector<int> LiteralPath;
+};
+
+double observed(const ClimbRow &R, int Distance, size_t Event) {
+  return R.Curve(Distance) + (Event < R.Drift.size() ? R.Drift[Event] : 0.0);
+}
+
+char reasonLetter(RepairReason R) {
+  switch (R) {
+  case RepairReason::Climb:
+    return 'C';
+  case RepairReason::BackOff:
+    return 'B';
+  case RepairReason::RegimeRestart:
+    return 'R';
+  case RepairReason::Settle:
+    return 'S';
+  default:
+    return '?'; // step() makes no other decision
+  }
+}
+
+RepairInputs inputs(const LoadRepairState &S, int Distance, int MaxDistance,
+                    double Latency, bool GroupSettled = false) {
+  return {S, Distance, MaxDistance, Latency, repair::StartDistance,
+          GroupSettled};
+}
+
+/// Max 8 unless a row says otherwise, so the budget is 16 events.
+const ClimbRow kClimbRows[] = {
+    {"seed 1, +1 per event, clamp at max, settle on the best", 8,
+     [](int D) { return 400.0 - 10.0 * D; }, {}, 16,
+     {2, 3, 4, 5, 6, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8}, "CCCCCCCCCCCCCCCS",
+     {2, 3, 4, 5, 6, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8}},
+    // Past the optimum at 4 the latency clearly rises: back off, and keep
+    // backing off only while a decrement clearly helps.
+    {"a clear rise backs off, a repeated decrement needs a clear fall", 8,
+     [](int D) { return 100.0 + 40.0 * std::abs(D - 4); }, {}, 16,
+     {2, 3, 4, 5, 4, 3, 4, 5, 4, 3, 4, 5, 4, 3, 4, 4}, "CCCCBBCCBBCCBBCS",
+     {2, 3, 4, 5, 4, 5, 4, 5, 4, 5, 4, 5, 4, 5, 4, 5}},
+    {"clamps at 1", 8, [](int D) { return 100.0 + 50.0 * D; }, {}, 16,
+     {2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 1}, "CBBCBBCBBCBBCBBS",
+     {2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1}},
+    // The sixth step (2 x max) moves to 3, then settles on 2, the best.
+    {"the budget is exactly 2 x max steps, then settle on the best", 3,
+     [](int D) { return D == 2 ? 100.0 : D == 3 ? 200.0 : 300.0; }, {}, 6,
+     {2, 3, 2, 1, 2, 2}, "CCBBCS", {2, 3, 2, 3, 2, 3}},
+    // At event 5 the latency collapses from 720 to 100: back to the seed
+    // with the budget topped up to 16, none of it spent on the restart.
+    {"regime restart", 8, [](int D) { return 800.0 - 20.0 * D; },
+     {0, 0, 0, 0, -600, -600, -600, -600, -600, -600, -600, -600, -600, -600,
+      -600, -600, -600, -600, -600, -600, -600},
+     21, {2, 3, 4, 5, 1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8},
+     "CCCCRCCCCCCCCCCCCCCCS",
+     {2, 3, 4, 5, 6, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8}},
+    // At event 5 the load reads 0 (no DLT entry): no restart, but the
+    // observation counts, so the climb settles back on distance 5.
+    {"no restart when the observation is 0, which still counts as best", 8,
+     [](int D) { return 800.0 - 20.0 * D; }, {0, 0, 0, 0, -700}, 16,
+     {2, 3, 4, 5, 6, 5, 6, 7, 8, 8, 8, 8, 8, 8, 8, 5}, "CCCCCBCCCCCCCCCS",
+     {2, 3, 4, 5, 6, 5, 4, 3, 2, 1, 1, 2, 3, 4, 5, 6}},
+    // DESIGN.md section 5: from the seventh event the latency drifts up by
+    // one cycle per event. The literal rule reads each drift as a rise and
+    // cascades 7 -> 1 in six events; the hysteresis holds this rule at 8
+    // and it settles on 5, the first distance that reached the floor.
+    {"paper-literal cascade on drift", 8,
+     [](int D) { return std::max(100.0, 600.0 - 100.0 * D); },
+     {0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 16,
+     {2, 3, 4, 5, 6, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 5}, "CCCCCCCCCCCCCCCS",
+     {2, 3, 4, 5, 6, 7, 6, 5, 4, 3, 2, 1, 1, 1, 1, 1}},
+};
+
+void expectState(const LoadRepairState &Got, const LoadRepairState &Want) {
+  EXPECT_EQ(Got.RepairsLeft, Want.RepairsLeft);
+  EXPECT_EQ(Got.LastAvgAccessLatency, Want.LastAvgAccessLatency);
+  EXPECT_EQ(Got.LastMove, Want.LastMove);
+  EXPECT_EQ(Got.BestAvgAccessLatency, Want.BestAvgAccessLatency);
+  EXPECT_EQ(Got.BestDistance, Want.BestDistance);
+  EXPECT_EQ(Got.Mature, Want.Mature);
+}
+
+/// A load that settled on distance 5 (best 90 cycles, last 120, last
+/// move down, budget spent).
+const LoadRepairState kSettled{0, 120.0, -1, 90.0, 5, true};
+
+/// A one-decision row: the rule, its inputs, and the expected decision.
+struct TransitionRow {
+  const char *Rule;
+  repair::Rule Decide;
+  RepairInputs In;
+  RepairReason Reason;
+  int Distance;
+  LoadRepairState State;
+};
+
+const TransitionRow kTransitionRows[] = {
+    {"re-open re-seeds a group whose every load had settled", repair::reopen,
+     inputs(kSettled, 5, 8, 300.0, /*GroupSettled=*/true),
+     RepairReason::Reopen, 1, {16, -1.0, +1, -1.0, 1, false}},
+    {"re-open keeps the distance another load is still climbing",
+     repair::reopen, inputs(kSettled, 5, 8, 300.0, /*GroupSettled=*/false),
+     RepairReason::Reopen, 5, {16, -1.0, +1, -1.0, 5, false}},
+    {"phase reset keeps the best, with a budget of max, not 2 x max",
+     repair::phaseReset, inputs(kSettled, 5, 8, 300.0),
+     RepairReason::PhaseReset, 5, {8, -1.0, -1, 90.0, 5, false}},
+    {"phase reset keeps a larger budget left",
+     repair::phaseReset, inputs({12, 120.0, -1, 90.0, 5, true}, 5, 8, 300.0),
+     RepairReason::PhaseReset, 5, {12, -1.0, -1, 90.0, 5, false}},
+    {"mature only marks the load", repair::mature,
+     inputs(repair::begin(8), 3, 8, 300.0), RepairReason::Mature, 3,
+     {16, -1.0, +1, -1.0, 1, true}},
+};
+
+} // namespace
+
+TEST(RepairPolicy, BeginGivesABudgetOfTwiceTheMaximalDistance) {
+  expectState(repair::begin(8), {16, -1.0, +1, -1.0, 1, false});
+  EXPECT_EQ(repair::StartDistance, 1);
+}
+
+TEST(RepairPolicy, ClosedLoopRows) {
+  for (const ClimbRow &R : kClimbRows) {
+    SCOPED_TRACE(R.Rule);
+    LoadRepairState S = repair::begin(R.MaxDistance);
+    int D = repair::StartDistance;
+    std::vector<int> Path;
+    std::string Reasons;
+    for (int E = 0; E < R.Events && !S.Mature; ++E) {
+      const RepairDecision Dec =
+          repair::step(inputs(S, D, R.MaxDistance, observed(R, D, E)));
+      EXPECT_EQ(Dec.OldDistance, D);
+      S = Dec.State;
+      D = Dec.Distance;
+      Path.push_back(D);
+      Reasons += reasonLetter(Dec.Reason);
+    }
+    EXPECT_EQ(Path, R.Path);
+    EXPECT_EQ(Reasons, R.Reasons);
+
+    PaperLiteralPolicy Literal;
+    std::vector<int> LiteralPath;
+    D = repair::StartDistance;
+    for (int E = 0; E < R.Events; ++E) {
+      D = Literal.step(D, R.MaxDistance, observed(R, D, E));
+      LiteralPath.push_back(D);
+    }
+    EXPECT_EQ(LiteralPath, R.LiteralPath);
+  }
+}
+
+TEST(RepairPolicy, SettleReportsTheStepItReplaced) {
+  // The last budget unit steps 2 -> 3, then settles on the best, 2; the
+  // runtime's LastRepairDistance gauge reports the step.
+  const LoadRepairState S{1, 300.0, +1, 100.0, 2, false};
+  const RepairDecision D = repair::step(inputs(S, 2, 3, 100.0));
+  EXPECT_EQ(D.Reason, RepairReason::Settle);
+  EXPECT_EQ(D.Distance, 2);
+  EXPECT_EQ(D.StepDistance, 3);
+  EXPECT_TRUE(D.State.Mature);
+}
+
+TEST(RepairPolicy, TransitionRows) {
+  for (const TransitionRow &R : kTransitionRows) {
+    SCOPED_TRACE(R.Rule);
+    const RepairDecision D = R.Decide(R.In);
+    EXPECT_EQ(D.Reason, R.Reason);
+    EXPECT_EQ(D.OldDistance, R.In.Distance);
+    EXPECT_EQ(D.Distance, R.Distance);
+    expectState(D.State, R.State);
+  }
+}
+
+TEST(RepairPolicy, ReasonNamesAreDistinct) {
+  std::vector<std::string> Names;
+  for (RepairReason R :
+       {RepairReason::Climb, RepairReason::BackOff,
+        RepairReason::RegimeRestart, RepairReason::Settle,
+        RepairReason::Reopen, RepairReason::PhaseReset, RepairReason::Mature})
+    Names.push_back(repairReasonName(R));
+  std::sort(Names.begin(), Names.end());
+  EXPECT_EQ(std::unique(Names.begin(), Names.end()), Names.end());
+  EXPECT_EQ(std::count(Names.begin(), Names.end(), "<bad>"), 0);
 }

@@ -17,7 +17,13 @@
 //     shared memory system and (in the four-lane row) the selector's
 //     monitor across revisions;
 //   - one mcf+swim mix per arsenal unit (enhanced-stream, DCPT, T-SKID),
-//     pinning each unit's training, issue and prefetch-buffer behaviour.
+//     pinning each unit's training, prefetching and prefetch-buffer
+//     behaviour;
+//   - three longer self-repair rows that, with dot's matures, drive every
+//     repair transition through the machine: mcf under a fault plan
+//     (climb, back-off, settle, re-open and regime restart) and a fuzz
+//     program with phase detection on, at two budgets (phase changes, then
+//     also settles and phase resets).
 //
 // The named-workload rows run as GoldenStats.* (ctest: golden_stats_test),
 // the fuzz and mix rows as FuzzGolden.* (ctest: fuzz_golden_test); both
@@ -40,6 +46,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -55,23 +62,43 @@ namespace {
 /// One corpus scenario: a canonical workload spec and the snapshot filename
 /// it pins (spec punctuation would make awkward filenames, so fuzz
 /// snapshots are keyed by seed). Mix rows also name their co-runners, the
-/// initial prefetcher unit and a selector spec.
+/// initial prefetcher unit and a selector spec. The self-repair rows also
+/// set a longer budget, a fault plan (FaultPlan JSON, absolute trigger
+/// cycles) or a phase-detection interval (nonzero turns on
+/// ClearMatureOnPhaseChange).
 struct Scenario {
   const char *Spec;
   const char *File;
   std::vector<std::string> MixWith = {};
   const char *HwPf = "sb8x8";
   const char *Selector = "";
+  uint64_t SimInstructions = 40'000;
+  const char *Faults = "";
+  uint64_t PhaseIntervalCommits = 0;
 };
+
+/// Re-opens and restarts mcf's climb: a long memory-latency spike and a
+/// DLT eviction, then a second spike with a DLT and a cache eviction.
+constexpr const char *kMcfRepairFaults = R"({"seed":0,"actions":[
+ {"kind":"latency-spike","at_cycle":150000,"extra_mem":2400,"duration":200000},
+ {"kind":"evict-dlt","at_cycle":350001},
+ {"kind":"latency-spike","at_cycle":850000,"extra_mem":1200},
+ {"kind":"evict-dlt","at_cycle":850001},
+ {"kind":"evict-caches","at_cycle":850002}]})";
 
 /// The 14 named workloads come first. The fuzz rows spread the knob space:
 /// defaults, a small working set, high entropy + heavy branching, many
 /// segments with fast phase changes, and many streams over a large working
 /// set. Then two mixes: mcf against art (mix_determinism_test's pairing),
 /// and a fuzzed primary with three co-runners under dcpt and the bandit
-/// selector. Last, mcf against swim under each arsenal unit for the whole
+/// selector. Then mcf against swim under each arsenal unit for the whole
 /// run: every one of them prefetches thousands of lines there and serves
-/// thousands of probe hits from its prefetch buffer.
+/// thousands of probe hits from its prefetch buffer. Last, the self-repair
+/// rows: at 40k no row re-opens a settled load or restarts a climb, and
+/// only dot and fuzz@101 mature any load. fuzz@101 with phase detection
+/// phase-resets a settled load only after 150k instructions, and a reset
+/// load climbs again only by 700k, so it runs at 150k (phase changes
+/// only) and at 700k.
 const Scenario kCorpus[] = {
     {"applu", "applu"},     {"art", "art"},         {"dot", "dot"},
     {"equake", "equake"},   {"facerec", "facerec"}, {"fma3d", "fma3d"},
@@ -89,6 +116,11 @@ const Scenario kCorpus[] = {
     {"mcf", "mix_mcf_swim_enhanced_stream", {"swim"}, "enhanced-stream"},
     {"mcf", "mix_mcf_swim_dcpt", {"swim"}, "dcpt"},
     {"mcf", "mix_mcf_swim_tskid", {"swim"}, "tskid"},
+    {"mcf", "repair_mcf_faults", {}, "sb8x8", "", 150'000, kMcfRepairFaults},
+    {"fuzz@101", "repair_fuzz_101_phase", {}, "sb8x8", "", 150'000, "",
+     10'000},
+    {"fuzz@101", "repair_fuzz_101_phase_long", {}, "sb8x8", "", 700'000, "",
+     10'000},
 };
 
 /// The snapshot budget: small enough that the corpus runs in seconds, long
@@ -96,7 +128,7 @@ const Scenario kCorpus[] = {
 /// fault-injection identity tests so the two suites cross-check.
 SimConfig goldenConfig(const Scenario &S) {
   SimConfig C = SimConfig::withMode(PrefetchMode::SelfRepairing);
-  C.SimInstructions = 40'000;
+  C.SimInstructions = S.SimInstructions;
   C.WarmupInstructions = 10'000;
   C.MixWith = S.MixWith;
   C.HwPf = S.HwPf;
@@ -104,6 +136,17 @@ SimConfig goldenConfig(const Scenario &S) {
     std::string Error;
     EXPECT_TRUE(SelectorConfig::parse(S.Selector, C.Selector, &Error))
         << Error;
+  }
+  if (*S.Faults) {
+    std::string Error;
+    std::optional<FaultPlan> Plan = FaultPlan::parseJson(S.Faults, &Error);
+    EXPECT_TRUE(Plan.has_value()) << Error;
+    if (Plan)
+      C.Faults = *Plan;
+  }
+  if (S.PhaseIntervalCommits != 0) {
+    C.Runtime.ClearMatureOnPhaseChange = true;
+    C.Runtime.PhaseIntervalCommits = S.PhaseIntervalCommits;
   }
   return C;
 }
@@ -131,9 +174,9 @@ std::string firstDiff(const std::string &Expected, const std::string &Actual) {
   }
 }
 
-/// A named-workload row: one of the 14 programs, solo.
+/// A named-workload row: one of the 14 programs, solo and unfaulted.
 bool isNamedRow(const Scenario &S) {
-  return S.MixWith.empty() && !isFuzzSpec(S.Spec);
+  return S.MixWith.empty() && !isFuzzSpec(S.Spec) && !*S.Faults;
 }
 
 /// Compares (or, under TRIDENT_UPDATE_GOLDENS, rewrites) the snapshot of

@@ -376,4 +376,15 @@ TEST(Integration, Figure5OrderingsHold) {
   const size_t Dot = IndexOf("dot");
   EXPECT_GT(Speedup[1][Dot] - Speedup[0][Dot],
             Speedup[2][Dot] - Speedup[1][Dot]);
+
+  // Figure 6: load misses due to prefetching "rarely occur". Across the
+  // self-repairing rows the mean share of such loads stays under 5%.
+  double PollutionSum = 0.0;
+  for (size_t I = 0; I < R.size(); I += 4) {
+    const RuntimeStats &S = R[I + 3]->Runtime;
+    if (S.LdTotal != 0)
+      PollutionSum += static_cast<double>(S.LdMissDueToPf) /
+                      static_cast<double>(S.LdTotal);
+  }
+  EXPECT_LT(PollutionSum / static_cast<double>(Names.size()), 0.05);
 }
