@@ -41,7 +41,6 @@ RepairDecision decide(const RepairInputs &In, RepairReason Reason,
   D.State = S;
   D.OldDistance = In.Distance;
   D.Distance = Distance;
-  D.StepDistance = Distance;
   D.AvgAccessLatency = In.AvgAccessLatency;
   return D;
 }
@@ -110,9 +109,7 @@ RepairDecision repair::step(const RepairInputs &In) {
   // Budget spent: settle on the best distance this load observed, then
   // stop raising events for it.
   S.Mature = true;
-  RepairDecision D = decide(In, RepairReason::Settle, S, S.BestDistance);
-  D.StepDistance = Stepped;
-  return D;
+  return decide(In, RepairReason::Settle, S, S.BestDistance);
 }
 
 RepairDecision repair::reopen(const RepairInputs &In) {

@@ -84,9 +84,6 @@ struct RepairDecision {
   LoadRepairState State; ///< The load's new state.
   int OldDistance = 1;   ///< The group's distance before.
   int Distance = 1;      ///< The group's new distance.
-  /// The distance the +-1 step chose. It differs from Distance only on
-  /// Settle, which replaces it with the best distance seen.
-  int StepDistance = 1;
   double AvgAccessLatency = 0.0; ///< The observation decided on.
 };
 

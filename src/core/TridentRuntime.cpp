@@ -760,7 +760,7 @@ void TridentRuntime::applyRepair(TraceMeta &M, PrefetchGroup &G,
   case RepairReason::Settle:
     patchPrefetchSlots(M, G);
     ++Stats.RepairOptimizations;
-    Stats.LastRepairDistance = D.StepDistance;
+    Stats.LastRepairDistance = D.Distance;
     break;
   }
   if (D.State.Mature) // a settle or a mature

@@ -117,7 +117,7 @@ struct RuntimeStats {
   uint64_t RegimeShiftsDetected = 0;
   uint64_t EventsDropped = 0;
   uint64_t PrefetchInstructionsPlanned = 0;
-  /// Distance set by the most recent repair (diagnostic).
+  /// The distance the most recent repair left its group at (diagnostic).
   /// trident-analyze: unregistered-ok(last-value gauge, not a counter;
   /// exporting it would churn the golden JSONL on every repair)
   int LastRepairDistance = 0;
@@ -192,9 +192,7 @@ public:
   /// The helper-thread registration structure (Section 3.1).
   const RegistrationStructure &registration() const { return Registration; }
   const DelinquentLoadTable &dlt() const { return Dlt; }
-  const WatchTable &watchTable() const { return Watch; }
   const BranchProfiler &profiler() const { return Profiler; }
-  size_t numTraces() const { return Traces.size(); }
 
   /// Introspection for tests/examples: the plan of the trace rooted at
   /// \p OrigStart, or nullptr.

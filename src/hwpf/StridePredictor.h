@@ -40,8 +40,6 @@ public:
   /// entry has never been trained.
   std::optional<Addr> lastAddress(Addr PC) const;
 
-  unsigned numEntries() const { return static_cast<unsigned>(Table.size()); }
-
 private:
   struct Entry {
     bool Valid = false;

@@ -216,9 +216,6 @@ public:
   /// levels; returns the number of lines evicted.
   uint64_t evictRange(Addr Lo, Addr Hi);
 
-  Cache &l1() { return L1; }
-  Cache &l2() { return L2; }
-  Cache &l3() { return L3; }
   /// The data TLB, or nullptr when disabled.
   const Tlb *dtlb() const { return Dtlb.get(); }
 

@@ -13,8 +13,9 @@
 ///
 /// Two layers:
 ///
-///  * A fixed-thread-pool executor (no work stealing: workers claim the
-///    next unclaimed job off a shared atomic cursor). The pool size
+///  * A fixed-thread-pool executor (no work stealing: each worker claims
+///    the next unclaimed job by advancing NextTask under the runner's
+///    mutex Mu; see the synchronization contract below). The pool size
 ///    defaults to std::thread::hardware_concurrency() and can be pinned
 ///    with the TRIDENT_BENCH_JOBS environment variable.
 ///

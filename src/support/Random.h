@@ -49,11 +49,6 @@ public:
         (static_cast<unsigned __int128>(next()) * Bound) >> 64);
   }
 
-  /// Returns a uniform double in [0, 1).
-  double nextDouble() {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-  }
-
 private:
   uint64_t State;
 };

@@ -151,7 +151,7 @@ std::optional<Trace> TraceBuilder::build(const Program &Prog,
   }
 
   if (Config.RunClassicalOpts)
-    LastOptStats = runClassicalOpts(T.Body);
+    runClassicalOpts(T.Body);
   return T;
 }
 

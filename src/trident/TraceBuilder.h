@@ -35,8 +35,8 @@ struct TraceBuilderConfig {
 };
 
 /// Statistics for one optimization pass over a trace body.
-/// trident-analyze: unregistered-ok(per-trace scratch; the runtime folds
-/// total() into runtime.* counters rather than exporting each field)
+/// trident-analyze: unregistered-ok(runClassicalOpts' return value, read by
+/// unit tests; no run exports it)
 struct ClassicalOptStats {
   unsigned RedundantLoadsRemoved = 0;
   unsigned StoreLoadPairsForwarded = 0;
@@ -65,11 +65,8 @@ public:
   /// exposed separately for unit testing.
   static ClassicalOptStats runClassicalOpts(std::vector<Instruction> &Body);
 
-  const ClassicalOptStats &lastOptStats() const { return LastOptStats; }
-
 private:
   TraceBuilderConfig Config;
-  mutable ClassicalOptStats LastOptStats;
 };
 
 } // namespace trident

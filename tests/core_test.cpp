@@ -629,17 +629,6 @@ TEST(RepairPolicy, ClosedLoopRows) {
   }
 }
 
-TEST(RepairPolicy, SettleReportsTheStepItReplaced) {
-  // The last budget unit steps 2 -> 3, then settles on the best, 2; the
-  // runtime's LastRepairDistance gauge reports the step.
-  const LoadRepairState S{1, 300.0, +1, 100.0, 2, false};
-  const RepairDecision D = repair::step(inputs(S, 2, 3, 100.0));
-  EXPECT_EQ(D.Reason, RepairReason::Settle);
-  EXPECT_EQ(D.Distance, 2);
-  EXPECT_EQ(D.StepDistance, 3);
-  EXPECT_TRUE(D.State.Mature);
-}
-
 TEST(RepairPolicy, TransitionRows) {
   for (const TransitionRow &R : kTransitionRows) {
     SCOPED_TRACE(R.Rule);

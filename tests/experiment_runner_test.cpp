@@ -1,13 +1,13 @@
-//===- experiment_runner_test.cpp - Parallel runner determinism -----------===//
+//===- experiment_runner_test.cpp - Runner memo cache and keys ------------===//
 //
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
-// The contract of the parallel experiment runner: scheduling must never
-// change a result. For all 56 (workload, Fig. 5 config) pairs, a batch run
-// across many worker threads must produce the same registry export and
-// register checksum as serial execution, the memo cache must hand back the
-// same object for a repeated (workload, config fingerprint) key, and
-// results must come back in submission order.
+// The parallel experiment runner's memo cache hands back the same object
+// for a repeated (workload, config fingerprint) key and separate objects
+// for separate configs, and the fingerprint moves with every layer of the
+// config. That scheduling never changes a result is the identity
+// harness's pool perturbation (fuzz_golden_test): every row through one
+// 4-thread batch, in submission order, against its own direct run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,61 +19,11 @@ using namespace trident;
 
 namespace {
 
-/// Short budget so the full-suite comparisons stay fast.
+/// Short budget so the cache checks stay fast.
 SimConfig quick(SimConfig C) {
   C.WarmupInstructions = 5'000;
   C.SimInstructions = 30'000;
   return C;
-}
-
-/// Every registry line (core.*, mem.*, trident.*, cpu.*, ...) plus the
-/// final register file: any scheduling-dependent state shows up here.
-void expectBitIdentical(const SimResult &A, const SimResult &B) {
-  EXPECT_EQ(A.Workload, B.Workload);
-  EXPECT_EQ(A.ConfigName, B.ConfigName);
-  EXPECT_EQ(A.RegChecksum, B.RegChecksum);
-  ASSERT_TRUE(A.Registry && B.Registry);
-  EXPECT_EQ(A.Registry->toJsonl(), B.Registry->toJsonl());
-}
-
-/// The Fig. 5 sweep: every workload under the hw baseline and the three
-/// software-prefetching schemes.
-std::vector<ExperimentJob> fullSuiteJobs() {
-  const SimConfig Configs[] = {
-      quick(SimConfig::hwBaseline()),
-      quick(SimConfig::withMode(PrefetchMode::Basic)),
-      quick(SimConfig::withMode(PrefetchMode::WholeObject)),
-      quick(SimConfig::withMode(PrefetchMode::SelfRepairing))};
-  std::vector<ExperimentJob> Jobs;
-  for (const std::string &Name : workloadNames())
-    for (const SimConfig &C : Configs)
-      Jobs.push_back(ExperimentJob{makeWorkload(Name), C});
-  return Jobs;
-}
-
-TEST(ExperimentRunner, ParallelMatchesSerialForEveryWorkload) {
-  std::vector<ExperimentJob> Jobs = fullSuiteJobs();
-
-  ExperimentRunner Serial({/*Threads=*/1, /*UseCache=*/false});
-  ExperimentRunner Parallel({/*Threads=*/4, /*UseCache=*/false});
-  auto SerialResults = Serial.runBatch(Jobs);
-  auto ParallelResults = Parallel.runBatch(Jobs);
-
-  ASSERT_EQ(SerialResults.size(), Jobs.size());
-  ASSERT_EQ(ParallelResults.size(), Jobs.size());
-  for (size_t I = 0; I < Jobs.size(); ++I) {
-    SCOPED_TRACE(Jobs[I].W.Name + " " + SerialResults[I]->ConfigName);
-    expectBitIdentical(*SerialResults[I], *ParallelResults[I]);
-  }
-}
-
-TEST(ExperimentRunner, ResultsComeBackInSubmissionOrder) {
-  std::vector<ExperimentJob> Jobs = fullSuiteJobs();
-  ExperimentRunner Runner({/*Threads=*/4, /*UseCache=*/false});
-  auto Results = Runner.runBatch(Jobs);
-  ASSERT_EQ(Results.size(), Jobs.size());
-  for (size_t I = 0; I < Jobs.size(); ++I)
-    EXPECT_EQ(Results[I]->Workload, Jobs[I].W.Name);
 }
 
 TEST(ExperimentRunner, CacheReturnsSameObjectForRepeatedKey) {

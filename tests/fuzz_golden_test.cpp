@@ -1,49 +1,69 @@
-//===- fuzz_golden_test.cpp - Golden stat-registry corpus ------------------===//
+//===- fuzz_golden_test.cpp - The identity harness -------------------------===//
 //
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
-// Byte-compares the canonical StatRegistry JSONL export of a corpus of
-// scenarios (at a small fixed budget) against committed snapshots in
-// tests/golden/. Any unintended behaviour change anywhere in the machine
-// shows up here as a counter drift long before it grows into a headline-
-// figure regression. The corpus pins:
-//   - the 14 named workloads;
-//   - five seeded fuzz scenarios spread across the generator's knob space.
-//     Each fuzz snapshot includes the generator's workload.program_hash
-//     line, so a golden match certifies BOTH that the generator still
-//     emits the same program for the seed AND that the machine still
-//     executes it to the same statistics;
-//   - two multi-programmed mixes, pinning the co-lane scheduler, the
-//     shared memory system and (in the four-lane row) the selector's
-//     monitor across revisions;
-//   - one mcf+swim mix per arsenal unit (enhanced-stream, DCPT, T-SKID),
-//     pinning each unit's training, prefetching and prefetch-buffer
-//     behaviour;
-//   - three longer self-repair rows that, with dot's matures, drive every
-//     repair transition through the machine: mcf under a fault plan
-//     (climb, back-off, settle, re-open and regime restart) and a fuzz
-//     program with phase detection on, at two budgets (phase changes, then
-//     also settles and phase resets).
+// Every byte-identity check of the reproduction is a row of one table: a
+// scenario crossed with a perturbation that must not change its output.
 //
-// The named-workload rows run as GoldenStats.* (ctest: golden_stats_test),
-// the fuzz and mix rows as FuzzGolden.* (ctest: fuzz_golden_test); both
-// share one table and one compare loop.
+// Scenarios, each pinned by its committed artifact where it has one:
+//   - the golden corpus (kCorpus): the 14 named workloads, five seeded fuzz
+//     programs, two mixes, one mcf+swim mix per arsenal unit and three
+//     longer self-repair rows, each byte-compared against its stat-registry
+//     JSONL snapshot in tests/golden/. A fuzz snapshot includes the
+//     generator's workload.program_hash line, so it pins the program the
+//     seed generates as well as how the machine runs it;
+//   - the Fig. 5 sweep (sweepColumns): the 14 workloads under the hardware
+//     baseline, basic, whole-object, self-repairing and a faulted
+//     self-repairing config, each pinned by one line of
+//     tests/golden/sweep_identity.txt (cycles, register checksum, FNV-1a of
+//     the registry JSONL). Its self-repairing cells are the corpus's named
+//     rows: one scenario backs both artifacts and runs once;
+//   - rows with no artifact (unpinnedRows), which only the perturbations
+//     use, against their own unperturbed run.
+//
+// Perturbations (kPerturbations), each of which must reproduce the row's
+// whole digest: workload and config names, registry JSONL, register
+// checksum, per-kind publish counts, selector decision trace and final
+// unit, and mix lanes.
+//   - tracer: an EventTracer subscribed for the whole run;
+//   - never-firing-faults: a fault plan whose one action never fires;
+//   - pool: the suite's rows through one 4-thread ExperimentRunner batch,
+//     memo cache off.
+// Each runs its rows again in the same process, so a run that is not
+// reproducible fails them too; no separate re-run is needed.
+// A machine without the Trident runtime constructs the hot-path events
+// only once something subscribes to them, so under the tracer and the
+// injector its events.published.* counts legitimately move. Those
+// passivity rows compare the digest without the publish counts.
+//
+// Three suites split the rows by ctest name, each checking its rows'
+// artifacts and running their perturbations: GoldenStats (the named rows;
+// golden_stats_test), FuzzGolden (the other corpus rows, the unpinned ones
+// and mcf's hardware-baseline cell; fuzz_golden_test) and SweepIdentity
+// (the rest of the sweep, plus the whole fingerprint file;
+// sweep_identity_test). A new only-when-on feature adds a perturbation,
+// not another loop.
 //
 // To refresh after an *intentional* change: tools/update_goldens.sh, then
-// review the diff like any other code change. The test regenerates (rather
-// than compares) when TRIDENT_UPDATE_GOLDENS is set; on mismatch it dumps
-// the actual export to golden_diff/ in the working directory so CI can
-// upload it as an artifact.
+// review the diff like any other code change. Under TRIDENT_UPDATE_GOLDENS
+// the harness rewrites the artifacts instead of comparing them and runs no
+// perturbation. A mismatch dumps the actual text to golden_diff/ in the
+// working directory so CI can upload it as an artifact.
 //
 //===----------------------------------------------------------------------===//
 
+#include "events/EventTracer.h"
+#include "sim/ExperimentRunner.h"
 #include "sim/Simulation.h"
 #include "workloads/Workloads.h"
 #include "workloads/fuzz/FuzzGenerator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -59,20 +79,27 @@ using namespace trident;
 
 namespace {
 
-/// One corpus scenario: a canonical workload spec and the snapshot filename
-/// it pins (spec punctuation would make awkward filenames, so fuzz
-/// snapshots are keyed by seed). Mix rows also name their co-runners, the
-/// initial prefetcher unit and a selector spec. The self-repair rows also
-/// set a longer budget, a fault plan (FaultPlan JSON, absolute trigger
-/// cycles) or a phase-detection interval (nonzero turns on
-/// ClearMatureOnPhaseChange).
-struct Scenario {
+/// The artifact budget: small enough that the table runs in seconds, long
+/// enough that tracing, optimization, repair and fault recovery all engage.
+constexpr uint64_t kSimInstructions = 40'000;
+constexpr uint64_t kWarmupInstructions = 10'000;
+
+/// The ctest name a row runs under.
+enum class Suite { GoldenStats, FuzzGolden, SweepIdentity };
+
+/// One corpus row: a canonical workload spec and the snapshot filename it
+/// pins (spec punctuation would make awkward filenames, so fuzz snapshots
+/// are keyed by seed). Mix rows also name their co-runners, the initial
+/// prefetcher unit and a selector spec. The self-repair rows also set a
+/// longer budget, a fault plan (FaultPlan JSON, absolute trigger cycles) or
+/// a phase-detection interval (nonzero turns on ClearMatureOnPhaseChange).
+struct CorpusRow {
   const char *Spec;
   const char *File;
   std::vector<std::string> MixWith = {};
   const char *HwPf = "sb8x8";
   const char *Selector = "";
-  uint64_t SimInstructions = 40'000;
+  uint64_t SimInstructions = kSimInstructions;
   const char *Faults = "";
   uint64_t PhaseIntervalCommits = 0;
 };
@@ -89,17 +116,16 @@ constexpr const char *kMcfRepairFaults = R"({"seed":0,"actions":[
 /// The 14 named workloads come first. The fuzz rows spread the knob space:
 /// defaults, a small working set, high entropy + heavy branching, many
 /// segments with fast phase changes, and many streams over a large working
-/// set. Then two mixes: mcf against art (mix_determinism_test's pairing),
-/// and a fuzzed primary with three co-runners under dcpt and the bandit
-/// selector. Then mcf against swim under each arsenal unit for the whole
-/// run: every one of them prefetches thousands of lines there and serves
-/// thousands of probe hits from its prefetch buffer. Last, the self-repair
-/// rows: at 40k no row re-opens a settled load or restarts a climb, and
-/// only dot and fuzz@101 mature any load. fuzz@101 with phase detection
-/// phase-resets a settled load only after 150k instructions, and a reset
-/// load climbs again only by 700k, so it runs at 150k (phase changes
-/// only) and at 700k.
-const Scenario kCorpus[] = {
+/// set. Then two mixes: mcf against art, and a fuzzed primary with three
+/// co-runners under dcpt and the bandit selector. Then mcf against swim
+/// under each arsenal unit for the whole run: every one of them prefetches
+/// thousands of lines there and serves thousands of probe hits from its
+/// prefetch buffer. Last, the self-repair rows: at 40k no row re-opens a
+/// settled load or restarts a climb, and only dot and fuzz@101 mature any
+/// load. fuzz@101 with phase detection phase-resets a settled load only
+/// after 150k instructions, and a reset load climbs again only by 700k, so
+/// it runs at 150k (phase changes only) and at 700k.
+const CorpusRow kCorpus[] = {
     {"applu", "applu"},     {"art", "art"},         {"dot", "dot"},
     {"equake", "equake"},   {"facerec", "facerec"}, {"fma3d", "fma3d"},
     {"galgel", "galgel"},   {"gap", "gap"},         {"mcf", "mcf"},
@@ -123,129 +149,434 @@ const Scenario kCorpus[] = {
      10'000},
 };
 
-/// The snapshot budget: small enough that the corpus runs in seconds, long
-/// enough that tracing, optimization, and repair all engage. Matches the
-/// fault-injection identity tests so the two suites cross-check.
-SimConfig goldenConfig(const Scenario &S) {
-  SimConfig C = SimConfig::withMode(PrefetchMode::SelfRepairing);
-  C.SimInstructions = S.SimInstructions;
-  C.WarmupInstructions = 10'000;
-  C.MixWith = S.MixWith;
-  C.HwPf = S.HwPf;
-  if (*S.Selector) {
+SimConfig budgeted(SimConfig C) {
+  C.SimInstructions = kSimInstructions;
+  C.WarmupInstructions = kWarmupInstructions;
+  return C;
+}
+
+void parseSelector(const char *Spec, SimConfig &C) {
+  std::string Error;
+  EXPECT_TRUE(SelectorConfig::parse(Spec, C.Selector, &Error)) << Error;
+}
+
+SimConfig corpusConfig(const CorpusRow &R) {
+  SimConfig C = budgeted(SimConfig::withMode(PrefetchMode::SelfRepairing));
+  C.SimInstructions = R.SimInstructions;
+  C.MixWith = R.MixWith;
+  C.HwPf = R.HwPf;
+  if (*R.Selector)
+    parseSelector(R.Selector, C);
+  if (*R.Faults) {
     std::string Error;
-    EXPECT_TRUE(SelectorConfig::parse(S.Selector, C.Selector, &Error))
-        << Error;
-  }
-  if (*S.Faults) {
-    std::string Error;
-    std::optional<FaultPlan> Plan = FaultPlan::parseJson(S.Faults, &Error);
+    std::optional<FaultPlan> Plan = FaultPlan::parseJson(R.Faults, &Error);
     EXPECT_TRUE(Plan.has_value()) << Error;
     if (Plan)
       C.Faults = *Plan;
   }
-  if (S.PhaseIntervalCommits != 0) {
+  if (R.PhaseIntervalCommits != 0) {
     C.Runtime.ClearMatureOnPhaseChange = true;
-    C.Runtime.PhaseIntervalCommits = S.PhaseIntervalCommits;
+    C.Runtime.PhaseIntervalCommits = R.PhaseIntervalCommits;
   }
   return C;
 }
 
-std::string goldenPath(const std::string &File) {
-  return std::string(TRIDENT_GOLDEN_DIR) + "/" + File + ".jsonl";
+/// A named-workload row: one of the 14 programs, solo and unfaulted.
+bool isNamedRow(const CorpusRow &R) {
+  return R.MixWith.empty() && !isFuzzSpec(R.Spec) && !*R.Faults;
 }
 
-/// First line where the two exports differ, for a readable failure message
-/// (the full JSONL is hundreds of lines; gtest would print all of them).
-std::string firstDiff(const std::string &Expected, const std::string &Actual) {
+FaultAction faultAt(FaultKind Kind, Cycle At) {
+  FaultAction A;
+  A.Trigger = FaultTrigger::AtCycle;
+  A.At = At;
+  A.Kind = Kind;
+  return A;
+}
+
+FaultAction spikeAt(Cycle At, unsigned ExtraMem, Cycle Duration) {
+  FaultAction A = faultAt(FaultKind::LatencySpike, At);
+  A.ExtraMemLatency = ExtraMem;
+  A.DurationCycles = Duration;
+  return A;
+}
+
+/// The sweep's faulted column: a self-repairing run whose environment
+/// degrades mid-flight. At this budget (a few hundred thousand cycles)
+/// every action fires on at least the memory-bound workloads.
+SimConfig faultedConfig() {
+  SimConfig C = budgeted(SimConfig::withMode(PrefetchMode::SelfRepairing));
+  C.Faults.Actions = {spikeAt(20'000, 300, 40'000),
+                      faultAt(FaultKind::EvictDlt, 60'000),
+                      faultAt(FaultKind::InvalidateTraces, 90'000),
+                      faultAt(FaultKind::EvictCaches, 130'000)};
+  return C;
+}
+
+/// One column of sweep_identity.txt.
+struct SweepColumn {
+  const char *Name;
+  SimConfig Config;
+  /// Only the pool perturbs it: the corpus rows already run the other
+  /// perturbations on the Trident machine at this budget.
+  bool PoolOnly;
+};
+
+/// The columns in file order. The hardware baseline has no Trident at
+/// all, so it is the pure-hardware path the JSONL snapshots never see.
+/// Nothing subscribes to its Commit events, so the tracer and the injector
+/// are their first subscribers; mcf's cell runs in tier 1 for that.
+const std::vector<SweepColumn> &sweepColumns() {
+  static const std::vector<SweepColumn> Columns = {
+      {"hwBaseline", budgeted(SimConfig::hwBaseline()), false},
+      {"basic", budgeted(SimConfig::withMode(PrefetchMode::Basic)), true},
+      {"wholeObject",
+       budgeted(SimConfig::withMode(PrefetchMode::WholeObject)), true},
+      {"selfRepairing",
+       budgeted(SimConfig::withMode(PrefetchMode::SelfRepairing)), false},
+      {"faulted", faultedConfig(), true},
+  };
+  return Columns;
+}
+
+/// A scenario: the one run that a row's artifacts and perturbations are
+/// compared against.
+struct Scenario {
+  /// Names the row in failure messages and golden_diff/ dumps.
+  std::string Label;
+  std::string Spec;
+  SimConfig Config;
+  /// The committed JSONL snapshot it backs (without ".jsonl"), or "".
+  std::string File;
+  /// The sweep_identity.txt column it backs, or nullptr.
+  const char *Column = nullptr;
+  Suite Home = Suite::FuzzGolden;
+  bool PoolOnly = false;
+};
+
+/// A memory regime that keeps shifting: every 250k cycles from cycle 100k,
+/// alternately a 150k-cycle latency spike and a cache flush.
+FaultPlan regimeShifts() {
+  FaultPlan P;
+  for (Cycle At = 100'000; At < 2'000'000; At += 500'000) {
+    P.Actions.push_back(spikeAt(At, 250, 150'000));
+    P.Actions.push_back(faultAt(FaultKind::EvictCaches, At + 250'000));
+  }
+  return P;
+}
+
+/// Rows with no committed artifact. The bandit selector on the hardware
+/// baseline under regime shifts makes 37 epoch decisions at this budget,
+/// with 7 swaps and 4 explorations; no corpus row explores.
+std::vector<Scenario> unpinnedRows() {
+  SimConfig C = SimConfig::hwBaseline();
+  C.SimInstructions = 150'000;
+  C.WarmupInstructions = 30'000;
+  C.Faults = regimeShifts();
+  parseSelector("bandit:seed=7,epoch=4,interval=1000", C);
+  return {{"mcf_bandit_regime_shifts", "mcf", C, "", nullptr,
+           Suite::FuzzGolden, false}};
+}
+
+/// The scenario table: the corpus, the sweep cells the corpus does not
+/// already run (mcf's hardware baseline with the tier-1 rows, the rest in
+/// the slow suite), then the unpinned rows.
+const std::vector<Scenario> &scenarios() {
+  static const std::vector<Scenario> All = [] {
+    std::vector<Scenario> S;
+    for (const CorpusRow &R : kCorpus)
+      S.push_back({R.File, R.Spec, corpusConfig(R), R.File, nullptr,
+                   isNamedRow(R) ? Suite::GoldenStats : Suite::FuzzGolden});
+    for (const std::string &Name : workloadNames())
+      for (const SweepColumn &Col : sweepColumns()) {
+        const uint64_t Key = configFingerprint(Col.Config);
+        auto Same = std::find_if(S.begin(), S.end(), [&](const Scenario &X) {
+          return X.Spec == Name && configFingerprint(X.Config) == Key;
+        });
+        if (Same != S.end()) {
+          Same->Column = Col.Name;
+          continue;
+        }
+        const std::string Label = Name + "_" + Col.Name;
+        S.push_back({Label, Name, Col.Config, "", Col.Name,
+                     Label == "mcf_hwBaseline" ? Suite::FuzzGolden
+                                               : Suite::SweepIdentity,
+                     Col.PoolOnly});
+      }
+    for (Scenario &U : unpinnedRows())
+      S.push_back(std::move(U));
+    return S;
+  }();
+  return All;
+}
+
+/// The unperturbed run of \p S, simulated once per process.
+const SimResult &baseRun(const Scenario &S) {
+  static std::vector<std::optional<SimResult>> Runs(scenarios().size());
+  std::optional<SimResult> &R = Runs[&S - scenarios().data()];
+  if (!R)
+    R = runSimulation(makeWorkload(S.Spec), S.Config);
+  return *R;
+}
+
+/// Everything a perturbation must reproduce, one fact per line so that a
+/// mismatch names what moved. Without \p PublishCounts it leaves out the
+/// per-kind publish counts, for the passivity rows.
+std::string digest(const SimResult &R, bool PublishCounts) {
+  std::ostringstream Os;
+  Os << "workload " << R.Workload << "\nconfig " << R.ConfigName << '\n';
+  std::istringstream Registry(R.Registry ? R.Registry->toJsonl()
+                                         : "<no registry>\n");
+  for (std::string Line; std::getline(Registry, Line);)
+    if (PublishCounts || Line.find("\"events.published.") == std::string::npos)
+      Os << Line << '\n';
+  Os << "checksum " << R.RegChecksum << '\n';
+  for (unsigned K = 0; PublishCounts && K < kNumEventKinds; ++K)
+    Os << "published " << eventKindName(static_cast<EventKind>(K)) << ' '
+       << R.EventsPublished[K] << '\n';
+  for (const SelectorDecisionRecord &D : R.SelectorTrace)
+    Os << "decision " << D.Epoch << ' ' << D.ChosenArm << ' ' << D.PrevArm
+       << '\n';
+  Os << "final-unit " << R.SelectorFinalUnit << '\n';
+  for (const SimResult::MixLane &L : R.MixLanes)
+    Os << "lane " << L.Workload << ' ' << L.Instructions << ' ' << L.Cycles
+       << '\n';
+  return Os.str();
+}
+
+using Results = std::vector<SimResult>;
+using Rows = std::vector<const Scenario *>;
+
+Results withTracer(const Rows &Rs) {
+  Results Out;
+  for (const Scenario *S : Rs) {
+    EventTracer Tracer(1 << 12);
+    Out.push_back(runSimulation(makeWorkload(S->Spec), S->Config, &Tracer));
+    EXPECT_GT(Tracer.recorded(), 0u) << S->Label << ": the tracer saw nothing";
+  }
+  return Out;
+}
+
+Results withNeverFiringFaults(const Rows &Rs) {
+  Results Out;
+  for (const Scenario *S : Rs) {
+    SimConfig C = S->Config;
+    C.Faults.Actions.push_back(spikeAt(~static_cast<Cycle>(0), 300, 0));
+    Out.push_back(runSimulation(makeWorkload(S->Spec), C));
+  }
+  return Out;
+}
+
+Results throughPool(const Rows &Rs) {
+  std::vector<ExperimentJob> Jobs;
+  for (const Scenario *S : Rs)
+    Jobs.push_back(ExperimentJob{makeWorkload(S->Spec), S->Config});
+  // Threads = 0 resolves through TRIDENT_BENCH_JOBS, the path the bench
+  // drivers take.
+  ::setenv("TRIDENT_BENCH_JOBS", "4", 1);
+  ExperimentRunner Runner({/*Threads=*/0, /*UseCache=*/false});
+  ::unsetenv("TRIDENT_BENCH_JOBS");
+  EXPECT_EQ(Runner.threadCount(), 4u);
+  Results Out;
+  for (const std::shared_ptr<const SimResult> &R : Runner.runBatch(Jobs))
+    Out.push_back(*R);
+  return Out;
+}
+
+/// A change that must not move a row's digest.
+struct Perturbation {
+  const char *Name;
+  /// It subscribes to the event bus, so on a machine without the Trident
+  /// runtime it moves the hot-path kinds' publish counts.
+  bool Subscribes;
+  /// It covers the sweep's pool-only cells too.
+  bool EveryRow;
+  /// Runs \p Rs under the perturbation, one result per row.
+  Results (*Run)(const Rows &Rs);
+};
+
+const Perturbation kPerturbations[] = {
+    {"tracer", true, false, withTracer},
+    {"never-firing-faults", true, false, withNeverFiringFaults},
+    {"pool", false, true, throughPool},
+};
+
+bool updating() { return std::getenv("TRIDENT_UPDATE_GOLDENS") != nullptr; }
+
+/// The first few lines where two texts differ, for a readable failure
+/// message (a registry export is hundreds of lines; gtest would print all
+/// of them).
+std::string diffLines(const std::string &Expected, const std::string &Actual) {
   std::istringstream E(Expected), A(Actual);
+  std::ostringstream Msg;
+  unsigned Shown = 0;
   std::string LE, LA;
-  for (unsigned Line = 1;; ++Line) {
-    bool HaveE = static_cast<bool>(std::getline(E, LE));
-    bool HaveA = static_cast<bool>(std::getline(A, LA));
+  for (unsigned Line = 1; Shown < 4; ++Line) {
+    const bool HaveE = static_cast<bool>(std::getline(E, LE));
+    const bool HaveA = static_cast<bool>(std::getline(A, LA));
     if (!HaveE && !HaveA)
-      return "(no difference found line-wise; byte difference only)";
-    if (LE != LA || HaveE != HaveA) {
-      std::ostringstream Msg;
-      Msg << "first difference at line " << Line << ":\n  golden: "
-          << (HaveE ? LE : "<eof>") << "\n  actual: " << (HaveA ? LA : "<eof>");
-      return Msg.str();
-    }
+      break;
+    if (HaveE && HaveA && LE == LA)
+      continue;
+    Msg << "line " << Line << ":\n  expected: " << (HaveE ? LE : "<eof>")
+        << "\n  actual:   " << (HaveA ? LA : "<eof>") << '\n';
+    ++Shown;
+  }
+  return Shown ? Msg.str() : "(no line differs; byte difference only)";
+}
+
+/// The one compare: on a mismatch, dumps \p Actual to golden_diff/\p Dump
+/// and fails with \p What and the first differing lines.
+void expectSame(const std::string &What, const std::string &Expected,
+                const std::string &Actual, const std::string &Dump) {
+  if (Expected == Actual)
+    return;
+  std::filesystem::create_directories("golden_diff");
+  std::ofstream("golden_diff/" + Dump, std::ios::binary | std::ios::trunc)
+      << Actual;
+  ADD_FAILURE() << What << " (actual dumped to golden_diff/" << Dump << ")\n"
+                << diffLines(Expected, Actual);
+}
+
+/// Compares (or, under TRIDENT_UPDATE_GOLDENS, rewrites) the committed
+/// artifact tests/golden/\p File.
+void checkArtifact(const std::string &Row, const std::string &File,
+                   const std::string &Actual) {
+  const std::string Path = std::string(TRIDENT_GOLDEN_DIR) + "/" + File;
+  if (updating()) {
+    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+    EXPECT_TRUE(Out) << "cannot write " << Path;
+    Out << Actual;
+    return;
+  }
+  std::ifstream In(Path, std::ios::binary);
+  ASSERT_TRUE(In) << "missing " << Path
+                  << " — run tools/update_goldens.sh and commit the result";
+  std::ostringstream Expected;
+  Expected << In.rdbuf();
+  expectSame(Row + ": drifted from tests/golden/" + File +
+                 " (regen via tools/update_goldens.sh only if the change is "
+                 "intended)",
+             Expected.str(), Actual, File);
+}
+
+/// What every unperturbed run must show besides its artifacts.
+void checkBaseRun(const Scenario &S, const SimResult &R) {
+  const Workload W = makeWorkload(S.Spec);
+  // The table lists canonical specs, so the resolved name round-trips; a
+  // mismatch means the canonical knob order changed under the table.
+  EXPECT_EQ(W.Name, S.Spec);
+  ASSERT_TRUE(R.Registry) << S.Label;
+  EXPECT_EQ(R.MixLanes.size(), S.Config.MixWith.size()) << S.Label;
+  if (isFuzzSpec(S.Spec)) {
+    ASSERT_TRUE(R.Registry->has("workload.program_hash")) << S.Label;
+    EXPECT_EQ(R.Registry->counter("workload.program_hash"), W.ProgramHash)
+        << S.Label;
+  }
+  // The control plane is only-when-on: with the selector off a run
+  // carries no selector state at all, and with it on the selector decides,
+  // so its perturbations compare a trace that is there.
+  if (!S.Config.Selector.enabled()) {
+    EXPECT_TRUE(R.SelectorTrace.empty()) << S.Label;
+    EXPECT_TRUE(R.SelectorFinalUnit.empty()) << S.Label;
+    EXPECT_EQ(R.Registry->toJsonl().find("\"selector."), std::string::npos)
+        << S.Label;
+  } else {
+    EXPECT_FALSE(R.SelectorTrace.empty()) << S.Label;
+  }
+  // Without the Trident runtime or a fault plan nothing subscribes to
+  // Commit, so the machine never constructs one.
+  if (!S.Config.EnableTrident && S.Config.Faults.Actions.empty()) {
+    EXPECT_EQ(R.EventsPublished[static_cast<size_t>(EventKind::Commit)], 0u)
+        << S.Label;
   }
 }
 
-/// A named-workload row: one of the 14 programs, solo and unfaulted.
-bool isNamedRow(const Scenario &S) {
-  return S.MixWith.empty() && !isFuzzSpec(S.Spec) && !*S.Faults;
+/// sweep_identity.txt as the tree computes it.
+std::string sweepFingerprints() {
+  std::ostringstream Out;
+  Out << "# sweep_identity fingerprints: workload config cycles regchecksum "
+         "fnv1a(registry jsonl)\n"
+      << "# budget: sim=" << kSimInstructions
+      << " warmup=" << kWarmupInstructions << "\n";
+  for (const std::string &Name : workloadNames())
+    for (const SweepColumn &Col : sweepColumns())
+      for (const Scenario &S : scenarios()) {
+        if (S.Spec != Name || !S.Column || std::strcmp(S.Column, Col.Name))
+          continue;
+        const SimResult &R = baseRun(S);
+        const std::string Jsonl = R.Registry ? R.Registry->toJsonl() : "";
+        // FNV-1a keeps the committed file one line per cell.
+        uint64_t Hash = 1469598103934665603ull;
+        for (unsigned char C : Jsonl)
+          Hash = (Hash ^ C) * 1099511628211ull;
+        char Line[256];
+        std::snprintf(Line, sizeof(Line),
+                      "%s %s cycles=%llu checksum=%016llx registry=%016llx\n",
+                      Name.c_str(), Col.Name,
+                      static_cast<unsigned long long>(R.Cycles),
+                      static_cast<unsigned long long>(R.RegChecksum),
+                      static_cast<unsigned long long>(Hash));
+        Out << Line;
+      }
+  return Out.str();
 }
 
-/// Compares (or, under TRIDENT_UPDATE_GOLDENS, rewrites) the snapshot of
-/// every corpus row for which isNamedRow() equals \p Named.
-void checkCorpusRows(bool Named) {
-  const bool Update = std::getenv("TRIDENT_UPDATE_GOLDENS") != nullptr;
-  for (const Scenario &S : kCorpus) {
-    if (isNamedRow(S) != Named)
-      continue;
-    Workload W = makeWorkload(S.Spec);
-    // The corpus lists canonical specs, so the resolved name round-trips;
-    // a mismatch means the canonical knob order changed under the corpus.
-    ASSERT_EQ(W.Name, S.Spec);
-    SimResult R = runSimulation(W, goldenConfig(S));
-    ASSERT_TRUE(R.Registry) << S.Spec;
-    ASSERT_EQ(R.MixLanes.size(), S.MixWith.size()) << S.Spec;
-    // A fuzz snapshot pins the generator output itself, not just its
-    // execution: the hash must be exported and match the workload's.
-    if (isFuzzSpec(S.Spec)) {
-      ASSERT_TRUE(R.Registry->has("workload.program_hash")) << S.Spec;
-      ASSERT_EQ(R.Registry->counter("workload.program_hash"), W.ProgramHash)
-          << S.Spec;
-    }
-    const std::string Actual = R.Registry->toJsonl();
+/// The one loop: checks (or rewrites) the artifacts of \p Home's rows,
+/// then runs every perturbation that covers them.
+void checkSuite(Suite Home) {
+  Rows Rs;
+  for (const Scenario &S : scenarios())
+    if (S.Home == Home)
+      Rs.push_back(&S);
 
-    if (Update) {
-      std::ofstream Out(goldenPath(S.File),
-                        std::ios::binary | std::ios::trunc);
-      ASSERT_TRUE(Out) << "cannot write " << goldenPath(S.File);
-      Out << Actual;
-      continue;
-    }
+  for (const Scenario *S : Rs) {
+    const SimResult &R = baseRun(*S);
+    checkBaseRun(*S, R);
+    if (!S->File.empty() && R.Registry)
+      checkArtifact(S->Label, S->File + ".jsonl", R.Registry->toJsonl());
+  }
+  if (Home == Suite::SweepIdentity)
+    checkArtifact("the Fig. 5 sweep", "sweep_identity.txt",
+                  sweepFingerprints());
+  if (updating())
+    return;
 
-    std::ifstream In(goldenPath(S.File), std::ios::binary);
-    ASSERT_TRUE(In) << "missing golden snapshot " << goldenPath(S.File)
-                    << " — run tools/update_goldens.sh and commit the result";
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    const std::string Expected = Buf.str();
-
-    if (Expected != Actual) {
-      std::filesystem::create_directories("golden_diff");
-      std::ofstream Dump("golden_diff/" + std::string(S.File) + ".jsonl",
-                         std::ios::binary | std::ios::trunc);
-      Dump << Actual;
+  for (const Perturbation &P : kPerturbations) {
+    Rows Covered;
+    for (const Scenario *S : Rs)
+      if (P.EveryRow || !S->PoolOnly)
+        Covered.push_back(S);
+    const Results Got = P.Run(Covered);
+    ASSERT_EQ(Got.size(), Covered.size()) << P.Name;
+    for (size_t I = 0; I < Covered.size(); ++I) {
+      const Scenario &S = *Covered[I];
+      const bool Counts = !P.Subscribes || S.Config.EnableTrident;
+      expectSame(S.Label + " under " + P.Name, digest(baseRun(S), Counts),
+                 digest(Got[I], Counts), S.Label + "." + P.Name + ".digest");
     }
-    EXPECT_TRUE(Expected == Actual)
-        << S.Spec << ": stat export drifted from tests/golden/" << S.File
-        << ".jsonl (actual dumped to golden_diff/" << S.File << ".jsonl; "
-        << "regen via tools/update_goldens.sh if the change is intended)\n"
-        << firstDiff(Expected, Actual);
   }
 }
 
 } // namespace
 
-TEST(GoldenStats, AllWorkloadsMatchCommittedSnapshots) {
+TEST(GoldenStats, RowsHoldTheirIdentity) {
   // The named rows must cover every workload, so a new one cannot go
-  // unpinned.
+  // unpinned, and they are the sweep's self-repairing column.
   std::vector<std::string> Named;
-  for (const Scenario &S : kCorpus)
-    if (isNamedRow(S))
+  for (const Scenario &S : scenarios())
+    if (S.Home == Suite::GoldenStats) {
       Named.push_back(S.Spec);
+      EXPECT_STREQ(S.Column, "selfRepairing") << S.Label;
+    }
   ASSERT_EQ(Named, workloadNames());
-  checkCorpusRows(/*Named=*/true);
+  checkSuite(Suite::GoldenStats);
 }
 
-TEST(FuzzGolden, CorpusMatchesCommittedSnapshots) {
-  checkCorpusRows(/*Named=*/false);
+TEST(FuzzGolden, RowsHoldTheirIdentity) { checkSuite(Suite::FuzzGolden); }
+
+TEST(SweepIdentity, RowsHoldTheirIdentity) {
+  checkSuite(Suite::SweepIdentity);
 }
 
 // A quick sanity sweep over seeds outside the pinned corpus: every seed

@@ -5,16 +5,16 @@
 // The property harness over the generative scenario space: for seeds drawn
 // across the knob space, (1) the generator is a pure function of
 // seed+knobs down to instruction encodings, (2) spec parsing accepts the
-// documented grammar and rejects everything else with a message, (3) a
-// scenario's registry export and selector decision trace are bit-identical
-// across repeated runs and across the serial vs parallel experiment
-// runner, and (4) self-repair re-converges within a bounded number of
-// delinquent-load events when a fault plan shifts the latency regime
-// mid-run — on programs no human wrote.
+// documented grammar and rejects everything else with a message, (3)
+// self-repair re-converges within a bounded number of delinquent-load
+// events when a fault plan shifts the latency regime mid-run, and (4) a
+// fuzzed mix keeps every lane moving within one quantum — on programs no
+// human wrote. That a fuzzed scenario's run replays byte for byte
+// (traced, under a never-firing fault plan, on the 4-thread pool) is the
+// identity harness's job: fuzz_golden_test's fuzz rows.
 //
 //===----------------------------------------------------------------------===//
 
-#include "sim/ExperimentRunner.h"
 #include "sim/Machine.h"
 #include "sim/Simulation.h"
 #include "workloads/Workloads.h"
@@ -116,80 +116,10 @@ TEST(FuzzScenario, SpecParsingRejectsMalformedInput) {
 }
 
 //===----------------------------------------------------------------------===//
-// Execution identity
-//===----------------------------------------------------------------------===//
-
-TEST(FuzzScenario, RepeatedRunsExportByteIdenticalRegistries) {
-  SimConfig C = SimConfig::withMode(PrefetchMode::SelfRepairing);
-  C.SimInstructions = 30'000;
-  C.WarmupInstructions = 5'000;
-  for (const char *Spec : kScenarios) {
-    Workload W = makeWorkload(Spec);
-    SimResult A = runSimulation(W, C);
-    SimResult B = runSimulation(W, C);
-    ASSERT_TRUE(A.Registry && B.Registry) << Spec;
-    EXPECT_EQ(A.Registry->toJsonl(), B.Registry->toJsonl()) << Spec;
-    EXPECT_EQ(A.RegChecksum, B.RegChecksum) << Spec;
-    EXPECT_EQ(A.Registry->counter("workload.program_hash"), W.ProgramHash)
-        << Spec;
-  }
-}
-
-TEST(FuzzScenario, SelectorDecisionTraceIsReproducible) {
-  SimConfig C = SimConfig::withMode(PrefetchMode::SelfRepairing);
-  C.SimInstructions = 60'000;
-  C.WarmupInstructions = 10'000;
-  std::string Err;
-  ASSERT_TRUE(SelectorConfig::parse("bandit", C.Selector, &Err)) << Err;
-  Workload W = makeWorkload("fuzz@12:wset=1024,entropy=650");
-  SimResult A = runSimulation(W, C);
-  SimResult B = runSimulation(W, C);
-  EXPECT_FALSE(A.SelectorTrace.empty());
-  EXPECT_TRUE(A.SelectorTrace == B.SelectorTrace)
-      << "bandit decision sequence diverged between identical runs";
-  EXPECT_EQ(A.SelectorFinalUnit, B.SelectorFinalUnit);
-  ASSERT_TRUE(A.Registry && B.Registry);
-  EXPECT_EQ(A.Registry->toJsonl(), B.Registry->toJsonl());
-}
-
-TEST(FuzzScenario, SerialAndParallelRunnersAgreeOnFuzzedScenarios) {
-  // Every scenario under both the raw-hardware and the Trident config;
-  // cache off so the 1-thread and 4-thread pools both really simulate.
-  std::vector<ExperimentJob> Jobs;
-  for (const char *Spec : kScenarios) {
-    Workload W = makeWorkload(Spec);
-    SimConfig Hw = SimConfig::hwBaseline();
-    Hw.SimInstructions = 20'000;
-    Hw.WarmupInstructions = 4'000;
-    Jobs.push_back(ExperimentJob{W, Hw});
-    SimConfig Tr = SimConfig::withMode(PrefetchMode::SelfRepairing);
-    Tr.SimInstructions = 20'000;
-    Tr.WarmupInstructions = 4'000;
-    Jobs.push_back(ExperimentJob{W, Tr});
-  }
-  auto runWith = [&](unsigned Threads) {
-    ExperimentRunnerOptions O;
-    O.Threads = Threads;
-    O.UseCache = false;
-    ExperimentRunner R(O);
-    return R.runBatch(Jobs);
-  };
-  auto Serial = runWith(1);
-  auto Parallel = runWith(4);
-  ASSERT_EQ(Serial.size(), Jobs.size());
-  for (size_t I = 0; I < Jobs.size(); ++I) {
-    ASSERT_TRUE(Serial[I] && Parallel[I]) << "job " << I;
-    EXPECT_EQ(Serial[I]->Registry->toJsonl(), Parallel[I]->Registry->toJsonl())
-        << Jobs[I].W.Name << " under " << Jobs[I].Config.HwPf
-        << " diverged between serial and parallel execution";
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Self-repair under faults, on generated programs
 //===----------------------------------------------------------------------===//
 
-TEST(FuzzScenario, FaultedRunsReconvergeAndStayDeterministic) {
+TEST(FuzzScenario, FaultedRunsReconverge) {
   // A latency-regime shift mid-measurement (the self_repair_test fault
   // triple: permanent spike + DLT and cache eviction), injected into a
   // fuzzed program the repair logic has never seen.
@@ -222,10 +152,6 @@ TEST(FuzzScenario, FaultedRunsReconvergeAndStayDeterministic) {
   EXPECT_LE(A.Faults.DetectionCyclesTotal / A.Faults.DetectionEvents,
             200'000u)
       << "mean fault-to-redetection latency is unboundedly large";
-  // And the whole faulted run is reproducible, byte for byte.
-  SimResult B = runSimulation(W, C);
-  ASSERT_TRUE(A.Registry && B.Registry);
-  EXPECT_EQ(A.Registry->toJsonl(), B.Registry->toJsonl());
 }
 
 //===----------------------------------------------------------------------===//
@@ -239,7 +165,6 @@ TEST(FuzzScenario, FuzzedMixesHoldTheSoloInvariants) {
   C.MixWith = {"fuzz@13:segs=6,branch=400", "art"};
   Workload W = makeWorkload("fuzz@11");
   SimResult A = runSimulation(W, C);
-  SimResult B = runSimulation(W, C);
   EXPECT_EQ(A.Instructions, C.SimInstructions);
   ASSERT_EQ(A.MixLanes.size(), 2u);
   EXPECT_EQ(A.MixLanes[0].Workload, "fuzz@13:segs=6,branch=400");
@@ -251,6 +176,4 @@ TEST(FuzzScenario, FuzzedMixesHoldTheSoloInvariants) {
   // (the round-robin boundary contract).
   for (const SimResult::MixLane &L : A.MixLanes)
     EXPECT_LE(L.Cycles, A.Cycles + 2 * kMixQuantumCycles) << L.Workload;
-  ASSERT_TRUE(A.Registry && B.Registry);
-  EXPECT_EQ(A.Registry->toJsonl(), B.Registry->toJsonl());
 }

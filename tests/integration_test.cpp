@@ -225,16 +225,6 @@ TEST(Integration, MatureFlagStopsEventStorms) {
   EXPECT_LT(R.Runtime.DelinquentEvents, 10u);
 }
 
-TEST(Integration, DeterministicAcrossRuns) {
-  SimResult A =
-      runSimulation(chaseWorkload(), quick(PrefetchMode::SelfRepairing));
-  SimResult B =
-      runSimulation(chaseWorkload(), quick(PrefetchMode::SelfRepairing));
-  EXPECT_EQ(A.Cycles, B.Cycles);
-  EXPECT_EQ(A.Instructions, B.Instructions);
-  EXPECT_EQ(A.Runtime.RepairOptimizations, B.Runtime.RepairOptimizations);
-}
-
 TEST(Integration, EstimateSeededRepairStillConverges) {
   // Section 5.3's "alternate strategy": seeding the distance with the
   // equation-2 estimate must behave like (not worse than) seeding with 1.

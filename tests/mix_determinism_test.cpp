@@ -1,14 +1,12 @@
-//===- mix_determinism_test.cpp - Mix runs are bit-reproducible ------------===//
+//===- mix_determinism_test.cpp - Mix result shape and keys ----------------===//
 //
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
-// The determinism contract extended to multi-programmed mixes: the same
-// primary + co-runner set must produce byte-identical registry
-// exports (a) across repeated runs in one process, (b) under the serial
-// and the parallel experiment runner (TRIDENT_BENCH_JOBS=1 vs =4), and
-// (c) the solo path must be untouched by the mix machinery — a config
-// with MixWith empty is the legacy machine, bit for bit (that last claim
-// is what fuzz_golden_test enforces; here we pin the mix-specific parts).
+// What a multi-programmed mix run reports: a solo-shaped result plus the
+// per-lane appendix and the only-when-on mix.* registry lines, under a
+// config fingerprint of its own. That mix runs are byte-reproducible
+// (repeated, re-scheduled on the pool, traced) is the identity harness's
+// job: fuzz_golden_test's mix rows.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 using namespace trident;
@@ -37,22 +34,6 @@ SimConfig mixConfig() {
 }
 
 } // namespace
-
-TEST(MixDeterminism, RepeatedRunsAreByteIdentical) {
-  Workload W = makeWorkload("mcf");
-  SimConfig C = mixConfig();
-  SimResult A = runSimulation(W, C);
-  SimResult B = runSimulation(W, C);
-  ASSERT_TRUE(A.Registry);
-  ASSERT_TRUE(B.Registry);
-  EXPECT_EQ(A.Registry->toJsonl(), B.Registry->toJsonl());
-  EXPECT_EQ(A.RegChecksum, B.RegChecksum);
-  ASSERT_EQ(A.MixLanes.size(), 1u);
-  ASSERT_EQ(B.MixLanes.size(), 1u);
-  EXPECT_EQ(A.MixLanes[0].Workload, B.MixLanes[0].Workload);
-  EXPECT_EQ(A.MixLanes[0].Instructions, B.MixLanes[0].Instructions);
-  EXPECT_EQ(A.MixLanes[0].Cycles, B.MixLanes[0].Cycles);
-}
 
 TEST(MixDeterminism, MixResultShapeAndExports) {
   SimResult R = runSimulation(makeWorkload("mcf"), mixConfig());
@@ -73,48 +54,14 @@ TEST(MixDeterminism, MixResultShapeAndExports) {
   EXPECT_EQ(R.Registry->counter("mix.lane1.cycles"), R.MixLanes[0].Cycles);
 }
 
-TEST(MixDeterminism, SerialAndParallelRunnersAgree) {
-  // The same four-job batch (two mixes, their two solo controls) under a
-  // 1-thread and a 4-thread pool, cache off so both pools really simulate.
-  std::vector<ExperimentJob> Jobs;
-  {
-    SimConfig C = mixConfig();
-    Jobs.push_back(ExperimentJob{makeWorkload("mcf"), C});
-    SimConfig C2 = C;
-    C2.MixWith = {"equake", "art"};
-    Jobs.push_back(ExperimentJob{makeWorkload("mcf"), C2});
-    SimConfig Solo = C;
-    Solo.MixWith.clear();
-    Jobs.push_back(ExperimentJob{makeWorkload("mcf"), Solo});
-    Jobs.push_back(ExperimentJob{makeWorkload("art"), Solo});
-  }
-
-  auto runWithJobsEnv = [&](const char *JobsEnv) {
-    // Threads=0 resolves through TRIDENT_BENCH_JOBS — the exact path the
-    // bench drivers use.
-    ::setenv("TRIDENT_BENCH_JOBS", JobsEnv, 1);
-    ExperimentRunnerOptions O;
-    O.Threads = 0;
-    O.UseCache = false;
-    ExperimentRunner R(O);
-    return R.runBatch(Jobs);
-  };
-
-  auto Serial = runWithJobsEnv("1");
-  auto Parallel = runWithJobsEnv("4");
-  ::unsetenv("TRIDENT_BENCH_JOBS");
-  ASSERT_EQ(Serial.size(), Jobs.size());
-  ASSERT_EQ(Parallel.size(), Jobs.size());
-  for (size_t I = 0; I < Jobs.size(); ++I) {
-    ASSERT_TRUE(Serial[I] && Parallel[I]) << "job " << I;
-    ASSERT_TRUE(Serial[I]->Registry && Parallel[I]->Registry) << "job " << I;
-    EXPECT_EQ(Serial[I]->Registry->toJsonl(), Parallel[I]->Registry->toJsonl())
-        << "job " << I << " diverged between 1-thread and 4-thread pools";
-    EXPECT_EQ(Serial[I]->RegChecksum, Parallel[I]->RegChecksum) << "job " << I;
-  }
-  // The two mix fingerprints must not collide with each other or solo.
-  EXPECT_NE(configFingerprint(Jobs[0].Config),
-            configFingerprint(Jobs[1].Config));
-  EXPECT_NE(configFingerprint(Jobs[0].Config),
-            configFingerprint(Jobs[2].Config));
+TEST(MixDeterminism, ConfigFingerprintSeparatesMixes) {
+  // Co-runners are part of the memo-cache key: two mixes of one primary
+  // must not collide with each other or with the solo run.
+  SimConfig Mix = mixConfig();
+  SimConfig Wider = Mix;
+  Wider.MixWith = {"equake", "art"};
+  SimConfig Solo = Mix;
+  Solo.MixWith.clear();
+  EXPECT_NE(configFingerprint(Mix), configFingerprint(Wider));
+  EXPECT_NE(configFingerprint(Mix), configFingerprint(Solo));
 }

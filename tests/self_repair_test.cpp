@@ -92,6 +92,18 @@ struct Machine {
 
 } // namespace
 
+TEST(SelfRepair, LastRepairDistanceIsTheDistanceHeld) {
+  // The climb's last budget unit steps the distance, then the settle
+  // replaces that step with the best distance seen. The gauge reports
+  // what the group holds afterwards, not the replaced step.
+  Machine M;
+  M.runUntil(4'000'000, 20'000, [&] {
+    return M.Runtime.stats().LoadsMatured >= 2;
+  });
+  ASSERT_GE(M.Runtime.stats().LoadsMatured, 2u);
+  EXPECT_EQ(M.Runtime.stats().LastRepairDistance, M.distance());
+}
+
 TEST(SelfRepair, BoundedReconvergenceAcrossALatencyRegimeShift) {
   Machine M;
 
