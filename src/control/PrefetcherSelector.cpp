@@ -9,7 +9,6 @@
 #include "hwpf/PrefetcherRegistry.h"
 #include "support/Check.h"
 #include "support/Random.h"
-#include "support/StatRegistry.h"
 
 #include <cmath>
 #include <vector>
@@ -221,13 +220,4 @@ PrefetcherSelector::create(const SelectorConfig &C, unsigned NumArms,
   }
   TRIDENT_CHECK(false, "static selector policy has no object form");
   return nullptr;
-}
-
-void SelectorStats::registerInto(StatRegistry &R,
-                                 const std::string &Prefix) const {
-  R.setCounter(Prefix + "epochs", Epochs);
-  R.setCounter(Prefix + "swaps", Swaps);
-  R.setCounter(Prefix + "explorations", Explorations);
-  R.setCounter(Prefix + "samples", Samples);
-  R.setCounter(Prefix + "final_arm", FinalArm);
 }

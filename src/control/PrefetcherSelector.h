@@ -29,13 +29,13 @@
 #ifndef TRIDENT_CONTROL_PREFETCHERSELECTOR_H
 #define TRIDENT_CONTROL_PREFETCHERSELECTOR_H
 
+#include "support/Fields.h"
+
 #include <cstdint>
 #include <memory>
 #include <string>
 
 namespace trident {
-
-class StatRegistry;
 
 enum class SelectorPolicy : uint8_t { Static, Bandit, Oracle };
 
@@ -67,6 +67,18 @@ struct SelectorConfig {
   /// Oracle policy only: the pinned arsenal unit, filled in by
   /// resolveSelectorOracle() before the run (empty until resolved).
   std::string OracleUnit;
+
+  static constexpr auto fields() {
+    using C = SelectorConfig;
+    return std::tuple(Field{"policy", &C::Policy},
+                      Field{"samples_per_epoch", &C::SamplesPerEpoch},
+                      Field{"interval_commits", &C::IntervalCommits},
+                      Field{"seed", &C::Seed},
+                      Field{"epsilon_permille", &C::EpsilonPermille},
+                      Field{"ucb", &C::Ucb},
+                      Field{"ema_permille", &C::EmaPermille},
+                      Field{"oracle_unit", &C::OracleUnit});
+  }
 
   /// True when the control plane is built at all.
   bool enabled() const { return Policy != SelectorPolicy::Static; }
@@ -113,8 +125,14 @@ struct SelectorStats {
   /// the run ended with no arsenal unit).
   uint64_t FinalArm = 0;
 
-  /// Registers every field under \p Prefix (e.g. "selector.").
-  void registerInto(StatRegistry &R, const std::string &Prefix) const;
+  /// Registry names, under "selector.".
+  static constexpr auto fields() {
+    return std::tuple(Field{"epochs", &SelectorStats::Epochs},
+                      Field{"swaps", &SelectorStats::Swaps},
+                      Field{"explorations", &SelectorStats::Explorations},
+                      Field{"samples", &SelectorStats::Samples},
+                      Field{"final_arm", &SelectorStats::FinalArm});
+  }
 };
 
 /// A selection policy. Arms index the PhaseMonitor's sorted arsenal list.

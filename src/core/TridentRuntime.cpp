@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/TridentRuntime.h"
-#include "support/StatRegistry.h"
 #include "support/Check.h"
 
 #include <algorithm>
@@ -42,38 +41,6 @@ const char *trident::prefetchModeName(PrefetchMode M) {
     return "self-repairing";
   }
   return "<bad>";
-}
-
-void RuntimeStats::registerInto(StatRegistry &R,
-                                const std::string &Prefix) const {
-  R.setCounter(Prefix + "hot_trace_events", HotTraceEvents);
-  R.setCounter(Prefix + "traces_installed", TracesInstalled);
-  R.setCounter(Prefix + "trace_reinstalls", TraceReinstalls);
-  R.setCounter(Prefix + "delinquent_events", DelinquentEvents);
-  R.setCounter(Prefix + "insertion_optimizations", InsertionOptimizations);
-  R.setCounter(Prefix + "repair_optimizations", RepairOptimizations);
-  R.setCounter(Prefix + "loads_matured", LoadsMatured);
-  R.setCounter(Prefix + "repairs_reopened", RepairsReopened);
-  R.setCounter(Prefix + "regime_shifts_detected", RegimeShiftsDetected);
-  R.setCounter(Prefix + "events_dropped", EventsDropped);
-  R.setCounter(Prefix + "peak_pending_events", PeakPendingEvents);
-  R.setCounter(Prefix + "prefetch_instructions_planned",
-               PrefetchInstructionsPlanned);
-  R.setCounter(Prefix + "load_misses_total", LoadMissesTotal);
-  R.setCounter(Prefix + "load_misses_in_traces", LoadMissesInTraces);
-  R.setCounter(Prefix + "load_misses_covered", LoadMissesCovered);
-  R.setCounter(Prefix + "ld_total", LdTotal);
-  R.setCounter(Prefix + "ld_hit_none", LdHitNone);
-  R.setCounter(Prefix + "ld_hit_prefetched", LdHitPrefetched);
-  R.setCounter(Prefix + "ld_partial", LdPartial);
-  R.setCounter(Prefix + "ld_miss", LdMiss);
-  R.setCounter(Prefix + "ld_miss_due_to_pf", LdMissDueToPf);
-  R.setCounter(Prefix + "commits_total", CommitsTotal);
-  R.setCounter(Prefix + "commits_in_traces", CommitsInTraces);
-  R.setCounter(Prefix + "phase_changes_detected", PhaseChangesDetected);
-  R.setCounter(Prefix + "mature_flags_cleared", MatureFlagsCleared);
-  R.setReal(Prefix + "trace_miss_coverage", traceMissCoverage());
-  R.setReal(Prefix + "prefetch_miss_coverage", prefetchMissCoverage());
 }
 
 TridentRuntime::TridentRuntime(const RuntimeConfig &Cfg, Program &P,

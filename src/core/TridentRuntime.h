@@ -36,6 +36,7 @@
 #include "dlt/DelinquentLoadTable.h"
 #include "events/EventBus.h"
 #include "events/EventQueue.h"
+#include "support/Fields.h"
 #include "trident/BranchProfiler.h"
 #include "trident/CodeCache.h"
 #include "trident/CostModel.h"
@@ -49,8 +50,6 @@
 #include <vector>
 
 namespace trident {
-
-class StatRegistry;
 
 enum class PrefetchMode : uint8_t {
   None,          ///< Trident traces only, no software prefetching.
@@ -96,6 +95,23 @@ struct RuntimeConfig {
   double PhaseChangeThreshold = 0.5;
 
   static RuntimeConfig baseline() { return RuntimeConfig(); }
+  static constexpr auto fields() {
+    using C = RuntimeConfig;
+    return std::tuple(
+        Field{"mode", &C::Mode}, Field{"link_traces", &C::LinkTraces},
+        Field{"dlt", &C::Dlt}, Field{"profiler", &C::Profiler},
+        Field{"builder", &C::Builder}, Field{"cost", &C::Cost},
+        Field{"watch_entries", &C::WatchEntries},
+        Field{"helper_ctx", &C::HelperCtx},
+        Field{"memory_latency", &C::MemoryLatency},
+        Field{"l1_hit_latency", &C::L1HitLatency},
+        Field{"distance_cap", &C::DistanceCap},
+        Field{"max_pending_events", &C::MaxPendingEvents},
+        Field{"self_repair_initial_estimate", &C::SelfRepairInitialEstimate},
+        Field{"clear_mature_on_phase_change", &C::ClearMatureOnPhaseChange},
+        Field{"phase_interval_commits", &C::PhaseIntervalCommits},
+        Field{"phase_change_threshold", &C::PhaseChangeThreshold});
+  }
   /// Why no runtime can be built with this config (the distance cap or
   /// the DLT), or "" when one can. The runtime's constructor CHECKs it.
   std::string invalidReason() const;
@@ -118,8 +134,6 @@ struct RuntimeStats {
   uint64_t EventsDropped = 0;
   uint64_t PrefetchInstructionsPlanned = 0;
   /// The distance the most recent repair left its group at (diagnostic).
-  /// trident-analyze: unregistered-ok(last-value gauge, not a counter;
-  /// exporting it would churn the golden JSONL on every repair)
   int LastRepairDistance = 0;
 
   // Figure 4: load-miss coverage.
@@ -153,8 +167,41 @@ struct RuntimeStats {
                : double(LoadMissesCovered) / double(LoadMissesTotal);
   }
 
-  /// Registers every field under \p Prefix (e.g. "trident.").
-  void registerInto(StatRegistry &R, const std::string &Prefix) const;
+  /// Registry names, under "trident.". The two coverage ratios above are
+  /// exported beside them as reals.
+  static constexpr auto fields() {
+    using S = RuntimeStats;
+    return std::tuple(
+        Field{"hot_trace_events", &S::HotTraceEvents},
+        Field{"traces_installed", &S::TracesInstalled},
+        Field{"trace_reinstalls", &S::TraceReinstalls},
+        Field{"delinquent_events", &S::DelinquentEvents},
+        Field{"insertion_optimizations", &S::InsertionOptimizations},
+        Field{"repair_optimizations", &S::RepairOptimizations},
+        Field{"loads_matured", &S::LoadsMatured},
+        Field{"repairs_reopened", &S::RepairsReopened},
+        Field{"regime_shifts_detected", &S::RegimeShiftsDetected},
+        Field{"events_dropped", &S::EventsDropped},
+        Field{"prefetch_instructions_planned",
+              &S::PrefetchInstructionsPlanned},
+        // A last-value gauge, not a counter: exporting it would churn the
+        // golden JSONL on every repair.
+        Field{nullptr, &S::LastRepairDistance},
+        Field{"load_misses_total", &S::LoadMissesTotal},
+        Field{"load_misses_in_traces", &S::LoadMissesInTraces},
+        Field{"load_misses_covered", &S::LoadMissesCovered},
+        Field{"ld_total", &S::LdTotal},
+        Field{"ld_hit_none", &S::LdHitNone},
+        Field{"ld_hit_prefetched", &S::LdHitPrefetched},
+        Field{"ld_partial", &S::LdPartial},
+        Field{"ld_miss", &S::LdMiss},
+        Field{"ld_miss_due_to_pf", &S::LdMissDueToPf},
+        Field{"commits_total", &S::CommitsTotal},
+        Field{"commits_in_traces", &S::CommitsInTraces},
+        Field{"phase_changes_detected", &S::PhaseChangesDetected},
+        Field{"mature_flags_cleared", &S::MatureFlagsCleared},
+        Field{"peak_pending_events", &S::PeakPendingEvents});
+  }
 };
 
 class TridentRuntime final {

@@ -10,20 +10,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "dlt/DelinquentLoadTable.h"
-#include "support/StatRegistry.h"
 #include "support/Check.h"
 
 #include <cstdio>
 #include <cstdlib>
 
 using namespace trident;
-
-void DltStats::registerInto(StatRegistry &R, const std::string &Prefix) const {
-  R.setCounter(Prefix + "updates", Updates);
-  R.setCounter(Prefix + "events", Events);
-  R.setCounter(Prefix + "windows_completed", WindowsCompleted);
-  R.setCounter(Prefix + "replacements", Replacements);
-}
 
 static bool dltDebugEnabled() {
   static const bool E = [] {

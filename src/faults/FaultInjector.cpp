@@ -7,30 +7,10 @@
 #include "faults/FaultInjector.h"
 
 #include "core/TridentRuntime.h"
-#include "support/StatRegistry.h"
 #include "mem/MemorySystem.h"
 #include "support/Check.h"
 
 using namespace trident;
-
-void FaultStats::registerInto(StatRegistry &R,
-                              const std::string &Prefix) const {
-  R.setCounter(Prefix + "injected", Injected);
-  R.setCounter(Prefix + "reverts", Reverts);
-  R.setCounter(Prefix + "skipped", Skipped);
-  R.setCounter(Prefix + "latency_spikes", LatencySpikes);
-  R.setCounter(Prefix + "cache_lines_evicted", CacheLinesEvicted);
-  R.setCounter(Prefix + "dlt_entries_evicted", DltEntriesEvicted);
-  R.setCounter(Prefix + "watch_entries_evicted", WatchEntriesEvicted);
-  R.setCounter(Prefix + "event_drops_scheduled", EventDropsScheduled);
-  R.setCounter(Prefix + "queue_stalls", QueueStalls);
-  R.setCounter(Prefix + "traces_invalidated", TracesInvalidated);
-  R.setCounter(Prefix + "detection_events", DetectionEvents);
-  R.setCounter(Prefix + "detection_cycles_total", DetectionCyclesTotal);
-  R.setCounter(Prefix + "reconvergence_events", ReconvergenceEvents);
-  R.setCounter(Prefix + "reconvergence_cycles_total",
-               ReconvergenceCyclesTotal);
-}
 
 FaultInjector::FaultInjector(const FaultPlan &Plan, FaultTargets T)
     : Targets(T) {

@@ -35,6 +35,7 @@
 
 #include "events/EventBus.h"
 #include "faults/FaultPlan.h"
+#include "support/Fields.h"
 
 #include <string>
 #include <vector>
@@ -43,7 +44,6 @@ namespace trident {
 
 class MemorySystem;
 class TridentRuntime;
-class StatRegistry;
 
 /// The machine surfaces a FaultInjector may perturb. Runtime may be null
 /// (hardware-baseline machines): runtime-targeted faults are then counted
@@ -75,8 +75,24 @@ struct FaultStats {
   uint64_t ReconvergenceEvents = 0;
   uint64_t ReconvergenceCyclesTotal = 0;
 
-  /// Registers every field under \p Prefix (e.g. "faults.").
-  void registerInto(StatRegistry &R, const std::string &Prefix) const;
+  /// Registry names, under "faults.".
+  static constexpr auto fields() {
+    using S = FaultStats;
+    return std::tuple(
+        Field{"injected", &S::Injected}, Field{"reverts", &S::Reverts},
+        Field{"skipped", &S::Skipped},
+        Field{"latency_spikes", &S::LatencySpikes},
+        Field{"cache_lines_evicted", &S::CacheLinesEvicted},
+        Field{"dlt_entries_evicted", &S::DltEntriesEvicted},
+        Field{"watch_entries_evicted", &S::WatchEntriesEvicted},
+        Field{"event_drops_scheduled", &S::EventDropsScheduled},
+        Field{"queue_stalls", &S::QueueStalls},
+        Field{"traces_invalidated", &S::TracesInvalidated},
+        Field{"detection_events", &S::DetectionEvents},
+        Field{"detection_cycles_total", &S::DetectionCyclesTotal},
+        Field{"reconvergence_events", &S::ReconvergenceEvents},
+        Field{"reconvergence_cycles_total", &S::ReconvergenceCyclesTotal});
+  }
 };
 
 class FaultInjector final : public EventSubscriber {

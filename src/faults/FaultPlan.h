@@ -28,6 +28,7 @@
 #define TRIDENT_FAULTS_FAULTPLAN_H
 
 #include "events/HardwareEvent.h"
+#include "support/Fields.h"
 #include "support/Types.h"
 
 #include <optional>
@@ -99,6 +100,17 @@ struct FaultAction {
   uint64_t Count = 1;
 
   bool operator==(const FaultAction &) const = default;
+  static constexpr auto fields() {
+    using A = FaultAction;
+    return std::tuple(
+        Field{"trigger", &A::Trigger}, Field{"at", &A::At},
+        Field{"counted", &A::Counted}, Field{"kind", &A::Kind},
+        Field{"range_lo", &A::RangeLo}, Field{"range_hi", &A::RangeHi},
+        Field{"extra_mem_latency", &A::ExtraMemLatency},
+        Field{"extra_l2_latency", &A::ExtraL2Latency},
+        Field{"duration_cycles", &A::DurationCycles},
+        Field{"count", &A::Count});
+  }
 };
 
 /// A full, ordered fault schedule.
@@ -110,6 +122,10 @@ struct FaultPlan {
 
   bool empty() const { return Actions.empty(); }
   bool operator==(const FaultPlan &) const = default;
+  static constexpr auto fields() {
+    return std::tuple(Field{"seed", &FaultPlan::Seed},
+                      Field{"actions", &FaultPlan::Actions});
+  }
 
   /// Serializes the plan to the canonical JSON schema (see DESIGN.md §11).
   std::string toJson() const;

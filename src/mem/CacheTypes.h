@@ -16,6 +16,7 @@
 #define TRIDENT_MEM_CACHETYPES_H
 
 #include "isa/Instruction.h"
+#include "support/Fields.h"
 #include "support/Types.h"
 
 #include <cstdint>
@@ -32,6 +33,13 @@ struct CacheConfig {
   unsigned HitLatency = 3;
 
   uint64_t numSets() const { return SizeBytes / (uint64_t(Assoc) * LineSize); }
+  static constexpr auto fields() {
+    return std::tuple(Field{"name", &CacheConfig::Name},
+                      Field{"size_bytes", &CacheConfig::SizeBytes},
+                      Field{"assoc", &CacheConfig::Assoc},
+                      Field{"line_size", &CacheConfig::LineSize},
+                      Field{"hit_latency", &CacheConfig::HitLatency});
+  }
 };
 
 /// Who initiated a memory access; determines training, stat accounting, and
@@ -74,6 +82,15 @@ struct HwPfFeedback {
   uint64_t Useful = 0;
   uint64_t Late = 0;
   uint64_t DemandMisses = 0;
+
+  /// Registry names, under "hwpf.feedback." (exported beside accuracy()
+  /// and coverage() when the sampling knob is on).
+  static constexpr auto fields() {
+    return std::tuple(Field{"issued", &HwPfFeedback::Issued},
+                      Field{"useful", &HwPfFeedback::Useful},
+                      Field{"late", &HwPfFeedback::Late},
+                      Field{"demand_misses", &HwPfFeedback::DemandMisses});
+  }
 
   /// Fraction of issued prefetches a demand access consumed (fully or
   /// partially). Can exceed 1 transiently if a line is re-touched after

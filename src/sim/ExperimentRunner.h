@@ -73,9 +73,11 @@
 
 namespace trident {
 
-/// Stable 64-bit FNV-1a fingerprint over every field of \p C that affects
-/// simulation behaviour. Two configs with equal fingerprints run the same
-/// experiment; any field change perturbs the fingerprint.
+/// Stable 64-bit FNV-1a fingerprint of \p C: the fold of SimConfig's field
+/// list and of every config it nests, in list order (support/Fields.h).
+/// The lists name every field, or the build fails, so two configs with
+/// equal fingerprints run the same experiment and any field change
+/// perturbs the fingerprint.
 uint64_t configFingerprint(const SimConfig &C);
 
 /// One unit of work: a workload run under a configuration.

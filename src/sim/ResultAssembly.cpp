@@ -90,19 +90,16 @@ trident::assembleSimResult(const MachineSnapshot &M,
   Reg->setCounter("core.helper_busy_cycles", Res.HelperBusyCycles);
   Reg->setCounter("core.halted", Res.Halted ? 1 : 0);
   for (unsigned I = 0; I < Config.Core.NumContexts; ++I)
-    Core.stats(I).registerInto(*Reg, "cpu.ctx" + std::to_string(I) + ".");
-  Res.Mem.registerInto(*Reg, "mem.");
-  Res.Tlb.registerInto(*Reg, "tlb.");
-  Res.HwPf.registerInto(*Reg, "hwpf.");
+    Reg->setCounters("cpu.ctx" + std::to_string(I) + ".", Core.stats(I));
+  Reg->setCounters("mem.", Res.Mem);
+  Reg->setCounters("tlb.", Res.Tlb);
+  for (const auto &[Name, Value] : Res.HwPf.Counters)
+    Reg->setCounter("hwpf." + Name, Value);
   // The feedback block is opt-in (the sampling knob): the default export
   // set — and therefore the golden corpus — is untouched unless a config
   // explicitly turns the channel on.
   if (CoreCfg.HwPfFeedbackIntervalCommits > 0 && Mem.prefetcher()) {
-    Reg->setCounter("hwpf.feedback.issued", Res.PfFeedback.Issued);
-    Reg->setCounter("hwpf.feedback.useful", Res.PfFeedback.Useful);
-    Reg->setCounter("hwpf.feedback.late", Res.PfFeedback.Late);
-    Reg->setCounter("hwpf.feedback.demand_misses",
-                    Res.PfFeedback.DemandMisses);
+    Reg->setCounters("hwpf.feedback.", Res.PfFeedback);
     Reg->setReal("hwpf.feedback.accuracy", Res.PfFeedback.accuracy());
     Reg->setReal("hwpf.feedback.coverage", Res.PfFeedback.coverage());
   }
@@ -116,8 +113,12 @@ trident::assembleSimResult(const MachineSnapshot &M,
                     Res.EventsPublished[K]);
   }
   if (M.Runtime) {
-    Res.Runtime.registerInto(*Reg, "trident.");
-    Res.Dlt.registerInto(*Reg, "dlt.");
+    Reg->setCounters("trident.", Res.Runtime);
+    Reg->setReal("trident.trace_miss_coverage",
+                 Res.Runtime.traceMissCoverage());
+    Reg->setReal("trident.prefetch_miss_coverage",
+                 Res.Runtime.prefetchMissCoverage());
+    Reg->setCounters("dlt.", Res.Dlt);
     const EventQueue &Q = M.Runtime->eventQueue();
     Reg->setCounter("trident.event_queue.capacity", Q.capacity());
     Reg->setCounter("trident.event_queue.dropped", Q.dropped());
@@ -128,12 +129,12 @@ trident::assembleSimResult(const MachineSnapshot &M,
   // that never triggers exports byte-identically to a fault-free run
   // (the disabled-injector identity contract).
   if (M.Injector && Res.Faults.Injected > 0)
-    Res.Faults.registerInto(*Reg, "faults.");
+    Reg->setCounters("faults.", Res.Faults);
   // "selector." lines appear only when the control plane was built, the
   // same only-when-on pattern: static runs export byte-identically to a
   // pre-control-plane build.
   if (M.Monitor)
-    Res.Selector.registerInto(*Reg, "selector.");
+    Reg->setCounters("selector.", Res.Selector);
   // Fuzzed scenarios export their generator hash so golden corpora and
   // cross-run identity checks pin the exact program, not just its stats.
   // Named (non-fuzz) workloads export nothing new, keeping the legacy

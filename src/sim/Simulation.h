@@ -21,6 +21,7 @@
 #include "control/PrefetcherSelector.h"
 #include "core/TridentRuntime.h"
 #include "events/EventTracer.h"
+#include "support/Fields.h"
 #include "support/StatRegistry.h"
 #include "faults/FaultInjector.h"
 #include "hwpf/PrefetcherRegistry.h"
@@ -75,6 +76,20 @@ struct SimConfig {
   static SimConfig hwBaseline();
   /// Trident with a given prefetch mode on top of the hw baseline.
   static SimConfig withMode(PrefetchMode Mode);
+
+  /// The memo-cache key folds these rows and those of every config they
+  /// nest, in list (= declaration) order; see configFingerprint.
+  static constexpr auto fields() {
+    using C = SimConfig;
+    return std::tuple(
+        Field{"core", &C::Core}, Field{"mem", &C::Mem},
+        Field{"hwpf", &C::HwPf}, Field{"enable_trident", &C::EnableTrident},
+        Field{"runtime", &C::Runtime},
+        Field{"warmup_instructions", &C::WarmupInstructions},
+        Field{"sim_instructions", &C::SimInstructions},
+        Field{"faults", &C::Faults}, Field{"selector", &C::Selector},
+        Field{"mix_with", &C::MixWith});
+  }
 };
 
 struct SimResult {

@@ -24,6 +24,7 @@
 #ifndef TRIDENT_SUPPORT_STATREGISTRY_H
 #define TRIDENT_SUPPORT_STATREGISTRY_H
 
+#include "support/Fields.h"
 #include "support/Statistics.h"
 
 #include <cstdint>
@@ -51,6 +52,15 @@ public:
   void setReal(const std::string &Name, double Value);
   /// Registers (or overwrites) a histogram snapshot.
   void setHistogram(const std::string &Name, const Histogram &H);
+  /// Registers every exported row of the field list of \p Stats (see
+  /// support/Fields.h) as the counter \p Prefix + its name.
+  template <HasFields S>
+  void setCounters(const std::string &Prefix, const S &Stats) {
+    forEachField<S>([&](const auto &F) {
+      if (F.Name)
+        setCounter(Prefix + F.Name, static_cast<uint64_t>(Stats.*F.Member));
+    });
+  }
 
   bool has(const std::string &Name) const;
   /// Value of a counter, or 0 if absent / not a counter.

@@ -21,6 +21,7 @@
 
 #include "events/HardwareEvent.h"
 #include "isa/Instruction.h"
+#include "support/Fields.h"
 #include "support/SaturatingCounter.h"
 
 #include <cstdint>
@@ -40,6 +41,15 @@ struct BranchProfilerConfig {
   /// Abandon a capture that runs longer than this many committed
   /// instructions without closing the loop.
   unsigned MaxCaptureCommits = 4096;
+
+  static constexpr auto fields() {
+    using C = BranchProfilerConfig;
+    return std::tuple(Field{"num_entries", &C::NumEntries},
+                      Field{"assoc", &C::Assoc},
+                      Field{"bitmap_bits", &C::BitmapBits},
+                      Field{"rounds", &C::Rounds},
+                      Field{"max_capture_commits", &C::MaxCaptureCommits});
+  }
 };
 
 // HotTraceCandidate — the payload of the profiler's hot-trace event —

@@ -18,6 +18,8 @@
 #ifndef TRIDENT_TRIDENT_COSTMODEL_H
 #define TRIDENT_TRIDENT_COSTMODEL_H
 
+#include "support/Fields.h"
+
 #include <cstdint>
 
 namespace trident {
@@ -43,6 +45,11 @@ struct OptimizerCostModel {
   /// bits, update bookkeeping) — no trace regeneration.
   uint64_t repair(unsigned NumLoadsRepaired) const {
     return 150 + 80ull * NumLoadsRepaired;
+  }
+
+  static constexpr auto fields() {
+    return std::tuple(
+        Field{"startup_cycles", &OptimizerCostModel::StartupCycles});
   }
 };
 

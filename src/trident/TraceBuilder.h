@@ -20,6 +20,7 @@
 #define TRIDENT_TRIDENT_TRACEBUILDER_H
 
 #include "isa/Program.h"
+#include "support/Fields.h"
 #include "trident/BranchProfiler.h"
 #include "trident/Trace.h"
 
@@ -32,11 +33,16 @@ struct TraceBuilderConfig {
   /// inner loops still fit in one trace.
   unsigned MaxLength = 2048;
   bool RunClassicalOpts = true;
+
+  static constexpr auto fields() {
+    return std::tuple(
+        Field{"max_length", &TraceBuilderConfig::MaxLength},
+        Field{"run_classical_opts", &TraceBuilderConfig::RunClassicalOpts});
+  }
 };
 
-/// Statistics for one optimization pass over a trace body.
-/// trident-analyze: unregistered-ok(runClassicalOpts' return value, read by
-/// unit tests; no run exports it)
+/// Statistics for one optimization pass over a trace body:
+/// runClassicalOpts' return value, read by unit tests; no run exports it.
 struct ClassicalOptStats {
   unsigned RedundantLoadsRemoved = 0;
   unsigned StoreLoadPairsForwarded = 0;
