@@ -16,7 +16,8 @@
 ///
 /// Environment knobs:
 ///   TRIDENT_BENCH_INSTR  per-run committed-instruction budget
-///                        (default 2,000,000)
+///                        (default 2,000,000; a value that is not a
+///                        nonzero decimal number is ignored)
 ///   TRIDENT_BENCH_QUICK  =1: quarter budget (smoke-testing the harness)
 ///   TRIDENT_BENCH_JOBS   worker threads for the batch runner
 ///                        (default: all hardware threads)
@@ -28,10 +29,12 @@
 
 #include "sim/ExperimentRunner.h"
 #include "sim/Simulation.h"
+#include "support/Decimal.h"
 #include "support/Statistics.h"
 #include "support/Table.h"
 #include "workloads/Workloads.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -44,8 +47,8 @@ namespace bench {
 inline uint64_t instrBudget() {
   uint64_t N = 2'000'000;
   if (const char *E = std::getenv("TRIDENT_BENCH_INSTR"))
-    if (uint64_t V = std::strtoull(E, nullptr, 10))
-      N = V;
+    if (std::optional<uint64_t> V = parseDecimal(E); V && *V != 0)
+      N = *V;
   if (const char *Q = std::getenv("TRIDENT_BENCH_QUICK"))
     if (*Q && *Q != '0')
       N /= 4;
@@ -53,6 +56,38 @@ inline uint64_t instrBudget() {
 }
 
 inline uint64_t warmupBudget() { return 100'000; }
+
+/// Splits a comma-separated env value; empty result means "no filter".
+inline std::vector<std::string> envList(const char *Name) {
+  std::vector<std::string> Out;
+  const char *E = std::getenv(Name);
+  if (!E || !*E)
+    return Out;
+  std::string S(E);
+  size_t Pos = 0;
+  while (Pos <= S.size()) {
+    size_t Comma = S.find(',', Pos);
+    if (Comma == std::string::npos)
+      Comma = S.size();
+    if (Comma > Pos)
+      Out.push_back(S.substr(Pos, Comma - Pos));
+    Pos = Comma + 1;
+  }
+  return Out;
+}
+
+inline bool contains(const std::vector<std::string> &V, const std::string &S) {
+  return std::find(V.begin(), V.end(), S) != V.end();
+}
+
+/// Appends \p S to \p Out with quotes and backslashes escaped for JSON.
+inline void jsonEscapeInto(std::string &Out, const std::string &S) {
+  for (char C : S) {
+    if (C == '"' || C == '\\')
+      Out += '\\';
+    Out += C;
+  }
+}
 
 inline SimConfig withBudget(SimConfig C) {
   C.SimInstructions = instrBudget();

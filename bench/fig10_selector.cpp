@@ -38,36 +38,6 @@ using namespace trident::bench;
 
 namespace {
 
-std::vector<std::string> envList(const char *Name) {
-  std::vector<std::string> Out;
-  const char *E = std::getenv(Name);
-  if (!E || !*E)
-    return Out;
-  std::string S(E);
-  size_t Pos = 0;
-  while (Pos <= S.size()) {
-    size_t Comma = S.find(',', Pos);
-    if (Comma == std::string::npos)
-      Comma = S.size();
-    if (Comma > Pos)
-      Out.push_back(S.substr(Pos, Comma - Pos));
-    Pos = Comma + 1;
-  }
-  return Out;
-}
-
-bool contains(const std::vector<std::string> &V, const std::string &S) {
-  return std::find(V.begin(), V.end(), S) != V.end();
-}
-
-void jsonEscapeInto(std::string &Out, const std::string &S) {
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-}
-
 /// The regime-shift schedule: alternating wide latency spikes and full
 /// cache flushes early enough to land inside even TRIDENT_BENCH_QUICK
 /// runs, then spaced out to keep perturbing full-budget ones. Identical

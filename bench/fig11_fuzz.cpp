@@ -45,41 +45,12 @@ using namespace trident::bench;
 
 namespace {
 
+/// \p Name's value when it is a decimal number, else \p Default.
 uint64_t envU64(const char *Name, uint64_t Default) {
   if (const char *E = std::getenv(Name))
-    if (*E)
-      return std::strtoull(E, nullptr, 10);
+    if (std::optional<uint64_t> V = parseDecimal(E))
+      return *V;
   return Default;
-}
-
-std::vector<std::string> envList(const char *Name) {
-  std::vector<std::string> Out;
-  const char *E = std::getenv(Name);
-  if (!E || !*E)
-    return Out;
-  std::string S(E);
-  size_t Pos = 0;
-  while (Pos <= S.size()) {
-    size_t Comma = S.find(',', Pos);
-    if (Comma == std::string::npos)
-      Comma = S.size();
-    if (Comma > Pos)
-      Out.push_back(S.substr(Pos, Comma - Pos));
-    Pos = Comma + 1;
-  }
-  return Out;
-}
-
-bool contains(const std::vector<std::string> &V, const std::string &S) {
-  return std::find(V.begin(), V.end(), S) != V.end();
-}
-
-void jsonEscapeInto(std::string &Out, const std::string &S) {
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
 }
 
 /// Draws the knob vector for scenario \p Seed. Every knob independently

@@ -11,10 +11,12 @@
 #include "hwpf/StreamBuffer.h"
 #include "hwpf/Tskid.h"
 #include "support/Check.h"
+#include "support/Decimal.h"
 
-#include <cerrno>
-#include <cstdlib>
+#include <algorithm>
+#include <iterator>
 #include <limits>
+#include <type_traits>
 
 using namespace trident;
 
@@ -46,19 +48,15 @@ bool PrefetcherSpec::parse(const std::string &Spec, PrefetcherSpec &Out,
     }
     std::string Key = Pair.substr(0, Eq);
     std::string Val = Pair.substr(Eq + 1);
-    // Signs are rejected up front: strtoull silently *accepts* "-1" and
-    // wraps it to 2^64-1, which would then truncate to a huge unsigned in
-    // every factory. Knobs are unsigned quantities; make that explicit.
+    // Knobs are unsigned decimal quantities: a sign gets its own message,
+    // and a base prefix ("0x10") is as much an error as a suffix.
     if (Val[0] == '-' || Val[0] == '+') {
       if (Error)
         *Error = "knob '" + Key + "' has signed value '" + Val +
                  "' in spec '" + Spec + "' (knobs are unsigned)";
       return false;
     }
-    char *End = nullptr;
-    errno = 0;
-    unsigned long long V = std::strtoull(Val.c_str(), &End, 0);
-    if (End == Val.c_str() || *End != '\0') {
+    if (Val.find_first_not_of("0123456789") != std::string::npos) {
       if (Error)
         *Error = "knob '" + Key + "' has non-integer value '" + Val +
                  "' in spec '" + Spec + "'";
@@ -66,7 +64,9 @@ bool PrefetcherSpec::parse(const std::string &Spec, PrefetcherSpec &Out,
     }
     // Every consumer narrows knobs to unsigned (32-bit); values past that
     // would truncate silently, so the parser owns the range check.
-    if (errno == ERANGE || V > std::numeric_limits<unsigned>::max()) {
+    const std::optional<uint64_t> V =
+        parseDecimal(Val, std::numeric_limits<unsigned>::max());
+    if (!V) {
       if (Error)
         *Error = "knob '" + Key + "' value '" + Val + "' in spec '" + Spec +
                  "' is out of range (max " +
@@ -82,7 +82,7 @@ bool PrefetcherSpec::parse(const std::string &Spec, PrefetcherSpec &Out,
         return false;
       }
     }
-    Out.Knobs.emplace_back(Key, static_cast<uint64_t>(V));
+    Out.Knobs.emplace_back(Key, *V);
     if (Comma == std::string::npos)
       break;
     Pos = Comma + 1;
@@ -98,164 +98,81 @@ uint64_t PrefetcherSpec::knobOr(const std::string &Knob,
   return Default;
 }
 
-bool PrefetcherSpec::checkKnobs(std::initializer_list<const char *> Allowed,
-                                std::string *Error) const {
-  for (const auto &K : Knobs) {
-    bool Ok = false;
-    for (const char *A : Allowed)
-      Ok |= K.first == A;
-    if (!Ok) {
-      if (Error) {
-        std::string List;
-        for (const char *A : Allowed) {
-          if (!List.empty())
-            List += ", ";
-          List += A;
-        }
-        *Error = "unknown knob '" + K.first + "' for prefetcher '" + Name +
-                 "' (knobs: " + (List.empty() ? "none" : List) + ")";
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
-std::string trident::sizeKnobsReason(const char *Unit,
-                                     std::initializer_list<SizeKnob> Knobs,
-                                     unsigned Max) {
-  for (const SizeKnob &K : Knobs)
-    if (K.Value < K.Min || K.Value > Max)
-      return std::string(Unit) + " knob '" + K.Name + "' is " +
-             std::to_string(K.Value) + ", outside [" + std::to_string(K.Min) +
-             ", " + std::to_string(Max) + "]";
-  return "";
-}
-
 namespace {
 
-/// Builds a \p UnitT from \p Cfg, or returns nullptr with the config's
-/// invalidReason() in \p Error.
+/// The registry entry of a \p UnitT built from \p Defaults with a spec's
+/// knobs applied through ConfigT::Knobs.
 template <typename UnitT, typename ConfigT>
-std::unique_ptr<HwPrefetcher> makeUnit(const ConfigT &Cfg,
-                                       std::string *Error) {
-  std::string Why = Cfg.invalidReason();
-  if (!Why.empty()) {
-    if (Error)
-      *Error = std::move(Why);
-    return nullptr;
-  }
-  return std::make_unique<UnitT>(Cfg);
-}
-
-/// Shared factory body for the stream-buffer entries; \p Buffers/\p Depth
-/// are the entry's defaults, overridable via knobs.
-std::unique_ptr<HwPrefetcher>
-makeStreamBuffers(const PrefetcherSpec &Spec, const PrefetcherEnv &Env,
-                  unsigned Buffers, unsigned Depth, std::string *Error) {
-  if (!Spec.checkKnobs({"buffers", "depth", "history"}, Error))
-    return nullptr;
-  StreamBufferConfig Cfg;
-  Cfg.NumBuffers = static_cast<unsigned>(Spec.knobOr("buffers", Buffers));
-  Cfg.Depth = static_cast<unsigned>(Spec.knobOr("depth", Depth));
-  Cfg.HistoryEntries =
-      static_cast<unsigned>(Spec.knobOr("history", Cfg.HistoryEntries));
-  if (Env.PageBounded) {
-    Cfg.StopAtPageBoundary = true;
-    Cfg.PageBits = Env.PageBits;
-  }
-  return makeUnit<StreamBufferUnit>(Cfg, Error);
+PrefetcherRegistry::Info unitEntry(const char *Name, const char *Summary,
+                                   const ConfigT &Defaults,
+                                   bool InArsenal = true) {
+  std::string Knobs;
+  for (const Knob<ConfigT> &K : ConfigT::Knobs)
+    Knobs += (Knobs.empty() ? "" : ", ") + std::string(K.Name);
+  auto Make = [Defaults, Knobs](const PrefetcherSpec &Spec,
+                                const PrefetcherEnv &Env, std::string *Error)
+      -> std::unique_ptr<HwPrefetcher> {
+    ConfigT Cfg = Defaults;
+    for (const auto &[Key, Value] : Spec.Knobs) {
+      const Knob<ConfigT> *K = std::find_if(
+          std::begin(ConfigT::Knobs), std::end(ConfigT::Knobs),
+          [&](const Knob<ConfigT> &Row) { return Key == Row.Name; });
+      if (K == std::end(ConfigT::Knobs)) {
+        if (Error)
+          *Error = "unknown knob '" + Key + "' for prefetcher '" + Spec.Name +
+                   "' (knobs: " + Knobs + ")";
+        return nullptr;
+      }
+      Cfg.*K->Member = static_cast<unsigned>(Value);
+    }
+    // The one unit that reads the environment: with a TLB modelled, stream
+    // buffers stop at page boundaries.
+    if constexpr (std::is_same_v<ConfigT, StreamBufferConfig>) {
+      if (Env.PageBounded) {
+        Cfg.StopAtPageBoundary = true;
+        Cfg.PageBits = Env.PageBits;
+      }
+    }
+    std::string Why = Cfg.invalidReason();
+    if (!Why.empty()) {
+      if (Error)
+        *Error = std::move(Why);
+      return nullptr;
+    }
+    return std::make_unique<UnitT>(Cfg);
+  };
+  return {Name, Summary, std::move(Knobs), InArsenal, std::move(Make)};
 }
 
 } // namespace
 
 PrefetcherRegistry::PrefetcherRegistry() {
-  add({"sb4x4", "predictor-directed stream buffers, 4 buffers x 4 deep",
-       "buffers, depth, history", true,
-       [](const PrefetcherSpec &S, const PrefetcherEnv &E, std::string *Err) {
-         return makeStreamBuffers(S, E, 4, 4, Err);
-       }});
-  add({"sb8x8",
-       "predictor-directed stream buffers, 8 buffers x 8 deep (the paper's "
-       "baseline)",
-       "buffers, depth, history", true,
-       [](const PrefetcherSpec &S, const PrefetcherEnv &E, std::string *Err) {
-         return makeStreamBuffers(S, E, 8, 8, Err);
-       }});
-  add({"stream",
-       "parameterized stream buffers (alias of sb8x8 defaults; set "
-       "buffers/depth)",
-       "buffers, depth, history", /*InArsenal=*/false,
-       [](const PrefetcherSpec &S, const PrefetcherEnv &E, std::string *Err) {
-         return makeStreamBuffers(S, E, 8, 8, Err);
-       }});
-  add({"enhanced-stream",
-       "region-based streams with noise-tolerant training and dead-stream "
-       "removal (Liu et al., JILP 2011)",
-       "trainers, streams, degree, depth, region, confirm", true,
-       [](const PrefetcherSpec &S, const PrefetcherEnv &,
-          std::string *Err) -> std::unique_ptr<HwPrefetcher> {
-         if (!S.checkKnobs(
-                 {"trainers", "streams", "degree", "depth", "region",
-                  "confirm"},
-                 Err))
-           return nullptr;
-         EnhancedStreamConfig Cfg = EnhancedStreamConfig::baseline();
-         Cfg.NumTrainingEntries =
-             static_cast<unsigned>(S.knobOr("trainers", Cfg.NumTrainingEntries));
-         Cfg.NumStreams =
-             static_cast<unsigned>(S.knobOr("streams", Cfg.NumStreams));
-         Cfg.Degree = static_cast<unsigned>(S.knobOr("degree", Cfg.Degree));
-         Cfg.Depth = static_cast<unsigned>(S.knobOr("depth", Cfg.Depth));
-         Cfg.RegionLines =
-             static_cast<unsigned>(S.knobOr("region", Cfg.RegionLines));
-         Cfg.ConfirmMisses =
-             static_cast<unsigned>(S.knobOr("confirm", Cfg.ConfirmMisses));
-         return makeUnit<EnhancedStreamPrefetcher>(Cfg, Err);
-       }});
-  add({"dcpt",
-       "delta-correlating prediction tables (Grannaes et al., DPC-1)",
-       "entries, deltas, degree, buffer", true,
-       [](const PrefetcherSpec &S, const PrefetcherEnv &,
-          std::string *Err) -> std::unique_ptr<HwPrefetcher> {
-         if (!S.checkKnobs({"entries", "deltas", "degree", "buffer"}, Err))
-           return nullptr;
-         DcptConfig Cfg = DcptConfig::baseline();
-         Cfg.NumEntries =
-             static_cast<unsigned>(S.knobOr("entries", Cfg.NumEntries));
-         Cfg.NumDeltas =
-             static_cast<unsigned>(S.knobOr("deltas", Cfg.NumDeltas));
-         Cfg.Degree = static_cast<unsigned>(S.knobOr("degree", Cfg.Degree));
-         Cfg.BufferCapacity =
-             static_cast<unsigned>(S.knobOr("buffer", Cfg.BufferCapacity));
-         return makeUnit<DcptPrefetcher>(Cfg, Err);
-       }});
-  add({"tskid",
-       "trigger/target timing prefetcher with learned issue skid "
-       "(T-SKID, DPC-3)",
-       "entries, recent, pending, buffer, lead, minskid", true,
-       [](const PrefetcherSpec &S, const PrefetcherEnv &,
-          std::string *Err) -> std::unique_ptr<HwPrefetcher> {
-         if (!S.checkKnobs(
-                 {"entries", "recent", "pending", "buffer", "lead",
-                  "minskid"},
-                 Err))
-           return nullptr;
-         TskidConfig Cfg = TskidConfig::baseline();
-         Cfg.NumEntries =
-             static_cast<unsigned>(S.knobOr("entries", Cfg.NumEntries));
-         Cfg.RecentMissDepth =
-             static_cast<unsigned>(S.knobOr("recent", Cfg.RecentMissDepth));
-         Cfg.PendingDepth =
-             static_cast<unsigned>(S.knobOr("pending", Cfg.PendingDepth));
-         Cfg.BufferCapacity =
-             static_cast<unsigned>(S.knobOr("buffer", Cfg.BufferCapacity));
-         Cfg.LeadCycles =
-             static_cast<unsigned>(S.knobOr("lead", Cfg.LeadCycles));
-         Cfg.MinSkidCycles =
-             static_cast<unsigned>(S.knobOr("minskid", Cfg.MinSkidCycles));
-         return makeUnit<TskidPrefetcher>(Cfg, Err);
-       }});
+  add(unitEntry<StreamBufferUnit>(
+      "sb4x4", "predictor-directed stream buffers, 4 buffers x 4 deep",
+      StreamBufferConfig::config4x4()));
+  add(unitEntry<StreamBufferUnit>(
+      "sb8x8",
+      "predictor-directed stream buffers, 8 buffers x 8 deep (the paper's "
+      "baseline)",
+      StreamBufferConfig::config8x8()));
+  add(unitEntry<StreamBufferUnit>(
+      "stream",
+      "parameterized stream buffers (alias of sb8x8 defaults; set "
+      "buffers/depth)",
+      StreamBufferConfig::config8x8(), /*InArsenal=*/false));
+  add(unitEntry<EnhancedStreamPrefetcher>(
+      "enhanced-stream",
+      "region-based streams with noise-tolerant training and dead-stream "
+      "removal (Liu et al., JILP 2011)",
+      EnhancedStreamConfig::baseline()));
+  add(unitEntry<DcptPrefetcher>(
+      "dcpt", "delta-correlating prediction tables (Grannaes et al., DPC-1)",
+      DcptConfig::baseline()));
+  add(unitEntry<TskidPrefetcher>(
+      "tskid",
+      "trigger/target timing prefetcher with learned issue skid "
+      "(T-SKID, DPC-3)",
+      TskidConfig::baseline()));
 }
 
 PrefetcherRegistry &PrefetcherRegistry::instance() {

@@ -13,8 +13,9 @@
 ///     name                      e.g.  "sb8x8", "dcpt", "none"
 ///     name:knob=value,...       e.g.  "dcpt:entries=64,degree=2"
 ///
-/// with integer-valued knobs. A knob outside the range its unit accepts
-/// (each config's invalidReason()) is a spec error, like an unknown knob.
+/// with decimal knob values. Each unit config lists its knobs once (see
+/// Knob); a knob outside the range its unit accepts (each config's
+/// invalidReason()) is a spec error, like an unknown knob.
 /// "none" (or an empty spec) means no prefetcher and resolves to a null
 /// unit, successfully. Built-in entries are registered lazily inside
 /// instance(), so there is no static-init ordering to get wrong;
@@ -29,7 +30,7 @@
 #include "mem/MemorySystem.h"
 
 #include <functional>
-#include <initializer_list>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -57,27 +58,32 @@ struct PrefetcherSpec {
 
   /// Value of \p Knob when given, else \p Default.
   uint64_t knobOr(const std::string &Knob, uint64_t Default) const;
-
-  /// Verifies every provided knob is one of \p Allowed (comma-separated);
-  /// on failure returns false and sets \p Error.
-  bool checkKnobs(std::initializer_list<const char *> Allowed,
-                  std::string *Error) const;
 };
 
-/// One size knob of a unit config: its spec name, its value, and the
-/// smallest value the unit accepts.
-struct SizeKnob {
+/// One knob of an arsenal unit's config: its spec name, the member it
+/// sets and the range the unit accepts. Each unit config lists its knobs
+/// once, as `static constexpr Knob<ConfigT> Knobs[]`; the list is the
+/// unit's spec vocabulary, its --hwpf list column and its range check.
+template <typename ConfigT> struct Knob {
   const char *Name;
-  unsigned Value;
-  unsigned Min;
+  unsigned ConfigT::*Member;
+  unsigned Min = 0;
+  unsigned Max = std::numeric_limits<unsigned>::max();
 };
 
-/// Why some knob of prefetcher \p Unit lies outside [Min, \p Max], naming
-/// the first one, or "" when all of \p Knobs are in range. Shared by the
-/// unit configs' invalidReason().
-std::string sizeKnobsReason(const char *Unit,
-                            std::initializer_list<SizeKnob> Knobs,
-                            unsigned Max);
+/// Why some knob of \p Cfg lies outside its range, naming the first one,
+/// or "" when all are in range. \p Unit opens the message.
+template <typename ConfigT>
+std::string knobRangeReason(const char *Unit, const ConfigT &Cfg) {
+  for (const Knob<ConfigT> &K : ConfigT::Knobs) {
+    const unsigned V = Cfg.*K.Member;
+    if (V < K.Min || V > K.Max)
+      return std::string(Unit) + " knob '" + K.Name + "' is " +
+             std::to_string(V) + ", outside [" + std::to_string(K.Min) +
+             ", " + std::to_string(K.Max) + "]";
+  }
+  return "";
+}
 
 class PrefetcherRegistry {
 public:

@@ -8,6 +8,7 @@
 
 #include "isa/ProgramBuilder.h"
 #include "support/Check.h"
+#include "support/Decimal.h"
 #include "support/Random.h"
 
 #include <algorithm>
@@ -55,22 +56,6 @@ constexpr KnobInfo kKnobs[] = {
      [](FuzzKnobs &K, uint64_t V) { K.Streams = unsigned(V); }},
 };
 constexpr size_t kNumKnobs = sizeof(kKnobs) / sizeof(kKnobs[0]);
-
-bool parseUint(const std::string &S, uint64_t &Out) {
-  if (S.empty() || S.size() > 20)
-    return false;
-  uint64_t V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t Next = V * 10 + uint64_t(C - '0');
-    if (Next < V) // overflow
-      return false;
-    V = Next;
-  }
-  Out = V;
-  return true;
-}
 
 void setError(std::string *Error, const std::string &Msg) {
   if (Error)
@@ -389,10 +374,12 @@ bool trident::parseFuzzSpec(const std::string &Spec, uint64_t &Seed,
     Body = Body.substr(std::strlen(kFuzzPrefix));
   const size_t Colon = Body.find(':');
   const std::string SeedStr = Body.substr(0, Colon);
-  if (!parseUint(SeedStr, Seed)) {
+  const std::optional<uint64_t> SeedValue = parseDecimal(SeedStr);
+  if (!SeedValue) {
     setError(Error, "seed '" + SeedStr + "' is not a decimal uint64");
     return false;
   }
+  Seed = *SeedValue;
   Knobs = FuzzKnobs();
   if (Colon == std::string::npos)
     return true;
@@ -411,8 +398,8 @@ bool trident::parseFuzzSpec(const std::string &Spec, uint64_t &Seed,
       return false;
     }
     const std::string Key = Item.substr(0, Eq);
-    uint64_t Value = 0;
-    if (!parseUint(Item.substr(Eq + 1), Value)) {
+    const std::optional<uint64_t> Value = parseDecimal(Item.substr(Eq + 1));
+    if (!Value) {
       setError(Error, "knob '" + Key + "' value '" + Item.substr(Eq + 1) +
                           "' is not a decimal integer");
       return false;
@@ -432,16 +419,16 @@ bool trident::parseFuzzSpec(const std::string &Spec, uint64_t &Seed,
       return false;
     }
     Seen[K] = true;
-    if (Value < kKnobs[K].Min || Value > kKnobs[K].Max) {
+    if (*Value < kKnobs[K].Min || *Value > kKnobs[K].Max) {
       char Buf[128];
       std::snprintf(Buf, sizeof(Buf), "knob '%s' value %llu out of range [%llu, %llu]",
-                    kKnobs[K].Name, (unsigned long long)Value,
+                    kKnobs[K].Name, (unsigned long long)*Value,
                     (unsigned long long)kKnobs[K].Min,
                     (unsigned long long)kKnobs[K].Max);
       setError(Error, Buf);
       return false;
     }
-    kKnobs[K].Set(Knobs, Value);
+    kKnobs[K].Set(Knobs, *Value);
   }
   return true;
 }

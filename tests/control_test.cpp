@@ -9,13 +9,14 @@
 //  * the bandit actually adapts — nonzero swaps under a regime-shift
 //    fault plan — and the oracle resolves to a real arsenal unit and then
 //    never swaps;
-//  * each policy and seed is its own memo-cache key;
-//  * the `--selector` spec parser accepts each policy's knobs and rejects
-//    everything else.
+//  * the `--selector` spec parser accepts each policy's decimal knobs and
+//    rejects everything else.
 //
 // That selector-off runs carry no selector state, and that a seed replays
 // its decision trace byte for byte (traced, on the 4-thread pool),
-// are rows of the identity harness (fuzz_golden_test).
+// are rows of the identity harness (fuzz_golden_test). That each policy
+// and seed is its own memo-cache key is experiment_runner_test's
+// field-list walk.
 //
 //===----------------------------------------------------------------------===//
 
@@ -136,19 +137,14 @@ TEST(SelectorConfig, RejectsBadSpecs) {
   EXPECT_FALSE(SelectorConfig::parse("bandit:seed=1,seed=2", C, &Err));
 }
 
-//===----------------------------------------------------------------------===//
-// Selector keys
-//===----------------------------------------------------------------------===//
-
-TEST(Selector, ConfigFingerprintSeparatesPolicies) {
-  SimConfig A = budget(SimConfig::hwBaseline());
-  SimConfig B = A;
+TEST(Selector, KnobValuesAreDecimal) {
+  // A leading zero does not switch to octal, and a base prefix is an error.
+  SelectorConfig C;
   std::string Err;
-  ASSERT_TRUE(SelectorConfig::parse("bandit", B.Selector, &Err)) << Err;
-  EXPECT_NE(configFingerprint(A), configFingerprint(B));
-  SimConfig C2 = A;
-  ASSERT_TRUE(SelectorConfig::parse("bandit:seed=2", C2.Selector, &Err));
-  EXPECT_NE(configFingerprint(B), configFingerprint(C2));
+  ASSERT_TRUE(SelectorConfig::parse("bandit:seed=010", C, &Err)) << Err;
+  EXPECT_EQ(C.Seed, 10u);
+  EXPECT_FALSE(SelectorConfig::parse("bandit:seed=0x10", C, &Err));
+  EXPECT_NE(Err.find("non-integer"), std::string::npos) << Err;
 }
 
 //===----------------------------------------------------------------------===//

@@ -3,14 +3,14 @@
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
 // What a multi-programmed mix run reports: a solo-shaped result plus the
-// per-lane appendix and the only-when-on mix.* registry lines, under a
-// config fingerprint of its own. That mix runs are byte-reproducible
+// per-lane appendix and the only-when-on mix.* registry lines. Its
+// co-runners are part of its memo key like every other field of the
+// config (experiment_runner_test). That mix runs are byte-reproducible
 // (repeated, re-scheduled on the pool, traced) is the identity harness's
 // job: fuzz_golden_test's mix rows.
 //
 //===----------------------------------------------------------------------===//
 
-#include "sim/ExperimentRunner.h"
 #include "sim/Simulation.h"
 #include "workloads/Workloads.h"
 
@@ -52,16 +52,4 @@ TEST(MixDeterminism, MixResultShapeAndExports) {
   EXPECT_EQ(R.Registry->counter("mix.lane1.instructions"),
             R.MixLanes[0].Instructions);
   EXPECT_EQ(R.Registry->counter("mix.lane1.cycles"), R.MixLanes[0].Cycles);
-}
-
-TEST(MixDeterminism, ConfigFingerprintSeparatesMixes) {
-  // Co-runners are part of the memo-cache key: two mixes of one primary
-  // must not collide with each other or with the solo run.
-  SimConfig Mix = mixConfig();
-  SimConfig Wider = Mix;
-  Wider.MixWith = {"equake", "art"};
-  SimConfig Solo = Mix;
-  Solo.MixWith.clear();
-  EXPECT_NE(configFingerprint(Mix), configFingerprint(Wider));
-  EXPECT_NE(configFingerprint(Mix), configFingerprint(Solo));
 }

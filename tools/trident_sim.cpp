@@ -17,6 +17,7 @@
 
 #include "sim/ExperimentRunner.h"
 #include "sim/Simulation.h"
+#include "support/Decimal.h"
 #include "support/Table.h"
 #include "workloads/Workloads.h"
 #include "workloads/fuzz/FuzzGenerator.h"
@@ -100,21 +101,15 @@ void usage(const char *Prog) {
 template <typename T>
 void parseNumber(const char *Flag, const char *Text, T &Out, T Min = 0) {
   const uint64_t Max = static_cast<uint64_t>(std::numeric_limits<T>::max());
-  uint64_t V = 0;
-  bool Ok = *Text != '\0';
-  for (const char *P = Text; Ok && *P; ++P) {
-    const uint64_t Digit = static_cast<unsigned char>(*P) - uint64_t{'0'};
-    Ok = Digit <= 9 && V <= (Max - Digit) / 10;
-    V = V * 10 + Digit;
-  }
-  if (!Ok || V < static_cast<uint64_t>(Min)) {
+  const std::optional<uint64_t> V = parseDecimal(Text, Max);
+  if (!V || *V < static_cast<uint64_t>(Min)) {
     std::fprintf(stderr, "error: %s takes a whole number from %llu to %llu, "
                          "got '%s'\n",
                  Flag, static_cast<unsigned long long>(Min),
                  static_cast<unsigned long long>(Max), Text);
     std::exit(2);
   }
-  Out = static_cast<T>(V);
+  Out = static_cast<T>(*V);
 }
 
 const char *onOff(bool B) { return B ? "on" : "off"; }
