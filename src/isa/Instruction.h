@@ -60,10 +60,6 @@ struct Instruction {
   bool readsRs1() const { return trident::readsRs1(Op); }
   bool readsRs2() const { return trident::readsRs2(Op); }
 
-  /// Registers read/written, as convenience accessors returning
-  /// reg::NumRegs when not applicable.
-  unsigned destReg() const { return writesRd() ? Rd : reg::NumRegs; }
-
   bool operator==(const Instruction &) const = default;
 
   /// Packed binary encoding: word 0 carries the scalar fields (opcode,
