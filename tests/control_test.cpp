@@ -137,6 +137,24 @@ TEST(SelectorConfig, RejectsBadSpecs) {
   EXPECT_FALSE(SelectorConfig::parse("bandit:seed=1,seed=2", C, &Err));
 }
 
+TEST(SelectorConfig, UnknownKnobTextNamesEveryPolicyVocabulary) {
+  // The full text, pinned: every policy's knobs in their table order.
+  const std::string Vocabulary =
+      "' (bandit: epoch, interval, seed, eps, ucb, ema; "
+      "oracle: epoch, interval; static: none)";
+  const std::pair<const char *, const char *> Rows[] = {
+      {"bandit:bogus=1", "unknown knob 'bogus' for selector policy 'bandit"},
+      {"oracle:seed=3", "unknown knob 'seed' for selector policy 'oracle"},
+      {"static:epoch=4", "unknown knob 'epoch' for selector policy 'static"},
+  };
+  for (const auto &[Spec, Head] : Rows) {
+    SelectorConfig C;
+    std::string Err;
+    EXPECT_FALSE(SelectorConfig::parse(Spec, C, &Err)) << Spec;
+    EXPECT_EQ(Err, Head + Vocabulary) << Spec;
+  }
+}
+
 TEST(Selector, KnobValuesAreDecimal) {
   // A leading zero does not switch to octal, and a base prefix is an error.
   SelectorConfig C;

@@ -113,6 +113,10 @@ TEST(FuzzScenario, SpecParsingRejectsMalformedInput) {
     EXPECT_FALSE(parseFuzzSpec(Bad, Seed, K, &Err)) << Bad;
     EXPECT_FALSE(Err.empty()) << Bad << " rejected without a message";
   }
+  // The unknown-knob text lists every knob in its table order.
+  EXPECT_FALSE(parseFuzzSpec("fuzz@7:wset=256,bogus=1", Seed, K, &Err));
+  EXPECT_EQ(Err, "unknown knob 'bogus' (have wset, segs, entropy, branch, "
+                 "phase, streams)");
 }
 
 //===----------------------------------------------------------------------===//
