@@ -80,6 +80,37 @@ inline bool contains(const std::vector<std::string> &V, const std::string &S) {
   return std::find(V.begin(), V.end(), S) != V.end();
 }
 
+/// A figure's JSONL output file and the path it was opened at.
+struct JsonlOut {
+  const char *Path;
+  std::FILE *File;
+};
+
+/// Opens a figure's JSONL output at $\p EnvVar, or at \p DefaultPath when
+/// that is unset or empty. Exits 1, naming the path, when it cannot.
+inline JsonlOut openJsonl(const char *EnvVar, const char *DefaultPath) {
+  const char *Path = std::getenv(EnvVar);
+  if (!Path || !*Path)
+    Path = DefaultPath;
+  std::FILE *File = std::fopen(Path, "w");
+  if (!File) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", Path);
+    std::exit(1);
+  }
+  return {Path, File};
+}
+
+/// Closes a JSONL output. A failed write or flush (a full disk, say)
+/// exits 1, naming the path, instead of leaving a truncated file behind
+/// a success exit code.
+inline void closeJsonl(const JsonlOut &Out) {
+  const bool WriteFailed = std::ferror(Out.File) != 0;
+  if (std::fclose(Out.File) != 0 || WriteFailed) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", Out.Path);
+    std::exit(1);
+  }
+}
+
 /// Appends \p S to \p Out with quotes and backslashes escaped for JSON.
 inline void jsonEscapeInto(std::string &Out, const std::string &S) {
   for (char C : S) {

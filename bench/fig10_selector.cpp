@@ -135,14 +135,7 @@ int main() {
   auto AdaptiveResults = runBatch(AdaptiveJobs);
 
   // JSONL: one record per cell.
-  const char *OutPath = std::getenv("TRIDENT_FIG10_OUT");
-  if (!OutPath || !*OutPath)
-    OutPath = "fig10_selector.jsonl";
-  std::FILE *Out = std::fopen(OutPath, "w");
-  if (!Out) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", OutPath);
-    return 1;
-  }
+  const JsonlOut Jsonl = openJsonl("TRIDENT_FIG10_OUT", "fig10_selector.jsonl");
 
   auto emit = [&](const std::string &Load, const std::string &Config,
                   const SimResult &R, double Reduction) {
@@ -170,7 +163,7 @@ int main() {
         (unsigned long long)R.SelectorTrace.size(),
         (unsigned long long)R.Faults.Injected);
     Line += Buf;
-    std::fprintf(Out, "%s\n", Line.c_str());
+    std::fprintf(Jsonl.File, "%s\n", Line.c_str());
   };
 
   // Per-config exposure ratios vs none (geo-mean input), plus the
@@ -227,9 +220,9 @@ int main() {
               formatPercent(WorstStatic, 1), formatPercent(BanditRed, 1),
               formatPercent(OracleRed, 1), SwapBuf});
   }
-  std::fclose(Out);
+  closeJsonl(Jsonl);
   std::printf("selector matrix: %zu cells -> %s\n\n",
-              Loads.size() * (PerLoadStatic + 2), OutPath);
+              Loads.size() * (PerLoadStatic + 2), Jsonl.Path);
   std::printf("exposed-latency reduction vs no-prefetch (same fault plan):\n");
   std::printf("%s\n", T.render().c_str());
 

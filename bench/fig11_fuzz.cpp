@@ -161,14 +161,7 @@ int main() {
     return Results[MixBase + MixIdx * Hwpfs.size() + PfIdx];
   };
 
-  const char *OutPath = std::getenv("TRIDENT_FIG11_OUT");
-  if (!OutPath || !*OutPath)
-    OutPath = "fig11_fuzz.jsonl";
-  std::FILE *Out = std::fopen(OutPath, "w");
-  if (!Out) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", OutPath);
-    return 1;
-  }
+  const JsonlOut Jsonl = openJsonl("TRIDENT_FIG11_OUT", "fig11_fuzz.jsonl");
 
   auto emitLine = [&](const std::string &Scenario, const std::string &Pf,
                       const SimResult &R, int Trident, double Speedup,
@@ -200,7 +193,7 @@ int main() {
                   (unsigned long long)R.PfFeedback.DemandMisses,
                   R.PfFeedback.accuracy(), R.PfFeedback.coverage());
     Line += Buf;
-    std::fprintf(Out, "%s\n", Line.c_str());
+    std::fprintf(Jsonl.File, "%s\n", Line.c_str());
   };
 
   // Solo matrix records + per-unit speedup series.
@@ -225,11 +218,11 @@ int main() {
       emitLine(Mixes[M].first, Hwpfs[P], *mixCell(M, P), 0,
                speedup(*mixCell(M, P), Base), Mixes[M].second);
   }
-  std::fclose(Out);
+  closeJsonl(Jsonl);
   std::printf("fuzz sweep: %zu scenarios x %zu units x 2 + %zu mix cells "
               "-> %s\n\n",
               Scenarios.size(), Hwpfs.size(), Mixes.size() * Hwpfs.size(),
-              OutPath);
+              Jsonl.Path);
 
   // Per-unit geo-mean over the whole scenario space.
   Table A({"prefetcher", "geo-mean (Trident off)", "geo-mean (Trident on)"});

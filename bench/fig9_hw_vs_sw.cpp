@@ -74,14 +74,7 @@ int main() {
   };
 
   // JSONL: one record per matrix cell.
-  const char *OutPath = std::getenv("TRIDENT_FIG9_OUT");
-  if (!OutPath || !*OutPath)
-    OutPath = "fig9_arsenal.jsonl";
-  std::FILE *Out = std::fopen(OutPath, "w");
-  if (!Out) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", OutPath);
-    return 1;
-  }
+  const JsonlOut Jsonl = openJsonl("TRIDENT_FIG9_OUT", "fig9_arsenal.jsonl");
 
   // Per-prefetcher speedup series for the summary table, keyed by
   // (prefetcher, trident); "none" x trident-on is the SW-only column.
@@ -117,13 +110,13 @@ int main() {
                       (unsigned long long)R.PfFeedback.DemandMisses,
                       R.PfFeedback.accuracy(), R.PfFeedback.coverage());
         Line += Buf;
-        std::fprintf(Out, "%s\n", Line.c_str());
+        std::fprintf(Jsonl.File, "%s\n", Line.c_str());
       }
     }
   }
-  std::fclose(Out);
+  closeJsonl(Jsonl);
   std::printf("arsenal matrix: %zu cells -> %s\n\n",
-              Loads.size() * PerLoad, OutPath);
+              Loads.size() * PerLoad, Jsonl.Path);
 
   // The paper's classic four-way table, when its configurations survived
   // the axis filters.

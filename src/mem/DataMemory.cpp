@@ -91,50 +91,55 @@ size_t DataMemory::slotOf(uint64_t Key) const {
   return I;
 }
 
-DataMemory::Page *DataMemory::lookupPage(Addr A, bool Create) {
+DataMemory::Page *DataMemory::lookupPage(Addr A) {
   const uint64_t Key = (A >> PageBits) + 1;
-  if (Key == CachedKey)
-    return CachedPage;
-  size_t I = slotOf(Key);
-  if (Keys[I] != Key) {
-    const bool Declared = declares(Key - 1);
-    if (!Create && !Declared)
-      return nullptr;
-    if (Declared && Reserved > 0)
-      --Reserved;
-    const size_t TableSize = Keys.size();
-    reserve(Reserved + 1); // a no-op for a declared page
-    if (Keys.size() != TableSize)
-      I = slotOf(Key);
-    Page *P = allocPage();
-    if (Declared)
-      fillDeclared(Key - 1, *P);
-    Keys[I] = Key;
-    Slots[I] = P;
-    ++NumPages;
+  if (Key != CachedKey) {
+    const size_t I = slotOf(Key);
+    CachedKey = Key;
+    CachedPage = Keys[I] == Key ? Slots[I] : nullptr;
   }
-  CachedKey = Key;
-  CachedPage = Slots[I];
   return CachedPage;
+}
+
+DataMemory::Page &DataMemory::writablePage(Addr A) {
+  if (Page *P = lookupPage(A))
+    return *P;
+  // Materialize: zero-fill, then the declared words, in declaration order.
+  const uint64_t Vpn = A >> PageBits;
+  const bool Declared = declares(Vpn);
+  if (Declared && Reserved > 0)
+    --Reserved;
+  reserve(Reserved + 1); // a no-op for a declared page
+  const size_t I = slotOf(Vpn + 1);
+  Page *P = allocPage();
+  if (Declared)
+    fillDeclared(Vpn, *P);
+  Keys[I] = Vpn + 1;
+  Slots[I] = P;
+  ++NumPages;
+  CachedKey = Vpn + 1;
+  CachedPage = P;
+  return *P;
 }
 
 uint64_t DataMemory::read64(Addr A) {
   // Fast path: the access stays within one page.
   size_t Off = A & (PageSize - 1);
   if (Off + 8 <= PageSize) {
-    const Page *P = lookupPage(A, /*Create=*/false);
+    const Page *P = lookupPage(A);
     if (!P)
-      return 0;
+      return readDeclared(A);
     uint64_t V;
     std::memcpy(&V, P->data() + Off, 8);
     return V;
   }
-  // Page-straddling access: assemble byte by byte.
-  uint64_t V = 0;
+  // Page-straddling access: the declared bytes, then any existing page's.
+  uint64_t V = readDeclared(A);
   for (unsigned I = 0; I < 8; ++I) {
-    const Page *P = lookupPage(A + I, /*Create=*/false);
-    uint8_t B = P ? (*P)[(A + I) & (PageSize - 1)] : 0;
-    V |= static_cast<uint64_t>(B) << (8 * I);
+    if (const Page *P = lookupPage(A + I)) {
+      const uint64_t B = (*P)[(A + I) & (PageSize - 1)];
+      V = (V & ~(uint64_t(0xFF) << (8 * I))) | B << (8 * I);
+    }
   }
   return V;
 }
@@ -142,14 +147,12 @@ uint64_t DataMemory::read64(Addr A) {
 void DataMemory::write64(Addr A, uint64_t Value) {
   size_t Off = A & (PageSize - 1);
   if (Off + 8 <= PageSize) {
-    Page &P = *lookupPage(A, /*Create=*/true);
-    std::memcpy(P.data() + Off, &Value, 8);
+    std::memcpy(writablePage(A).data() + Off, &Value, 8);
     return;
   }
-  for (unsigned I = 0; I < 8; ++I) {
-    Page &P = *lookupPage(A + I, /*Create=*/true);
-    P[(A + I) & (PageSize - 1)] = static_cast<uint8_t>(Value >> (8 * I));
-  }
+  for (unsigned I = 0; I < 8; ++I)
+    writablePage(A + I)[(A + I) & (PageSize - 1)] =
+        static_cast<uint8_t>(Value >> (8 * I));
 }
 
 void DataMemory::reserve(size_t Pages) {
@@ -226,7 +229,7 @@ void DataMemory::applyWords(const Declaration &D, uint64_t Vpn, Page &P) {
 }
 
 bool DataMemory::overlaps(const Declaration &D, uint64_t Vpn) {
-  if (Vpn < D.FirstVpn || Vpn > D.LastVpn)
+  if (Vpn < D.firstVpn() || Vpn > D.lastVpn())
     return false;
   const auto [Lo, Hi] = wordsOn(D, Vpn);
   return Lo < Hi;
@@ -239,8 +242,40 @@ bool DataMemory::declares(uint64_t Vpn) const {
 
 void DataMemory::fillDeclared(uint64_t Vpn, Page &P) const {
   for (const Declaration &D : Decls)
-    if (Vpn >= D.FirstVpn && Vpn <= D.LastVpn)
+    if (Vpn >= D.firstVpn() && Vpn <= D.lastVpn())
       applyWords(D, Vpn, P);
+}
+
+uint64_t DataMemory::readDeclared(Addr A) const {
+  // Lays word W, whose byte 0 sits at A + Shift (Shift in -7..7), over the
+  // bytes of V it covers. Stride >= 8 leaves at most two such words.
+  auto overlay = [](uint64_t V, uint64_t W, int Shift) {
+    const uint64_t Mask = Shift >= 0 ? ~uint64_t(0) << (8 * Shift)
+                                     : ~uint64_t(0) >> (-8 * Shift);
+    const uint64_t Bytes = Shift >= 0 ? W << (8 * Shift) : W >> (-8 * Shift);
+    return (V & ~Mask) | (Bytes & Mask);
+  };
+  uint64_t V = 0;
+  for (const Declaration &D : Decls) {
+    const uint64_t Off = A - D.Base;
+    if (Off >= D.End - D.Base) {
+      // A lies outside the words; word 0 may still start in [A, A + 8).
+      if (D.Base - A < 8)
+        V = overlay(V, D.Value(0), static_cast<int>(D.Base - A));
+      continue;
+    }
+    const uint64_t I = Off / D.Stride;
+    const uint64_t R = Off % D.Stride;
+    if (R == 0) {
+      V = D.Value(I);
+      continue;
+    }
+    if (R < 8)
+      V = overlay(V, D.Value(I), -static_cast<int>(R));
+    if (D.Stride - R < 8 && I + 1 < D.Count)
+      V = overlay(V, D.Value(I + 1), static_cast<int>(D.Stride - R));
+  }
+  return V;
 }
 
 void DataMemory::declareWords(Addr Base, uint64_t Count, uint64_t Stride,
@@ -254,10 +289,10 @@ void DataMemory::declareWords(Addr Base, uint64_t Count, uint64_t Stride,
   const uint64_t Limit = UINT64_MAX - PageSize - 8;
   TRIDENT_CHECK(Base <= Limit && (Count - 1) <= (Limit - Base) / Stride,
                 "declared words run past the address space");
-  Declaration D{Base, Count, Stride, std::move(Value), Base >> PageBits,
-                (Base + (Count - 1) * Stride + 7) >> PageBits};
+  Declaration D{Base, Base + (Count - 1) * Stride + 8, Count, Stride,
+                std::move(Value)};
   size_t Absent = 0;
-  for (uint64_t Vpn = D.FirstVpn; Vpn <= D.LastVpn; ++Vpn) {
+  for (uint64_t Vpn = D.firstVpn(); Vpn <= D.lastVpn(); ++Vpn) {
     if (!overlaps(D, Vpn))
       continue;
     if (Page *P = findPage(Vpn + 1))
@@ -277,7 +312,7 @@ uint64_t DataMemory::contentHash() const {
     if (Key != 0)
       Vpns.push_back(Key - 1);
   for (const Declaration &D : Decls)
-    for (uint64_t Vpn = D.FirstVpn; Vpn <= D.LastVpn; ++Vpn)
+    for (uint64_t Vpn = D.firstVpn(); Vpn <= D.lastVpn(); ++Vpn)
       if (overlaps(D, Vpn))
         Vpns.push_back(Vpn);
   std::sort(Vpns.begin(), Vpns.end());

@@ -8,11 +8,12 @@
 /// Byte-addressable sparse memory backing the functional execution of
 /// workloads. Any address reads as zero until written, which also gives
 /// non-faulting loads (Section 3.4.3) their "never traps" semantics for
-/// free. A workload image is declared rather than written (declareWords):
-/// each declared page materializes the first time a read or a write
-/// touches it, zero-filled and then filled with every declared word that
-/// overlaps it. Set-up therefore costs nothing for the pages a run never
-/// reads. A page no declaration covers materializes only when written.
+/// free. A workload image is declared rather than written (declareWords),
+/// and only a write materializes a page: zero-filled, then filled with
+/// every declared word that overlaps it, then written. A read of a page
+/// that does not exist computes its bytes from the declarations and
+/// allocates nothing, so set-up and host memory cost nothing for the
+/// pages a run only reads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,8 +42,8 @@ public:
   DataMemory &operator=(const DataMemory &) = delete;
 
   /// Reads a 64-bit little-endian value; memory nobody wrote or declared
-  /// reads as zero. Reading a declared page materializes it. Not safe to
-  /// call concurrently: it updates the translation cache.
+  /// reads as zero. A read never materializes a page. Not safe to call
+  /// concurrently: it updates the translation cache.
   uint64_t read64(Addr A);
 
   /// Writes a 64-bit little-endian value, materializing pages as needed.
@@ -51,15 +52,16 @@ public:
   /// Declares \p Count words: word I at \p Base + I * \p Stride holds
   /// \p Value(I), byte for byte what a write64 loop issued now would
   /// store. Pages that already exist take their words at once. Every
-  /// other page the words overlap takes them when it materializes, after
-  /// the words of earlier declarations. Table capacity and slab room for
-  /// all those pages are reserved here, so materializing them never
-  /// allocates. \p Stride is at least 8, so one declaration's words never
-  /// overlap each other.
+  /// other page the words overlap reads them from the declaration, and
+  /// takes them when a write materializes it, after the words of earlier
+  /// declarations. Table capacity and slab room for all those pages are
+  /// reserved here, so materializing them never allocates; the slabs no
+  /// write uses stay untouched. \p Stride is at least 8, so one
+  /// declaration's words never overlap each other.
   void declareWords(Addr Base, uint64_t Count, uint64_t Stride,
                     std::function<uint64_t(uint64_t)> Value);
 
-  /// Number of materialized 4KB pages (footprint introspection for tests).
+  /// Number of materialized 4KB pages: the pages writes have touched.
   size_t numPages() const { return NumPages; }
 
   /// FNV-1a over every materialized or declared page's VPN (8 bytes,
@@ -76,19 +78,21 @@ private:
   struct Slab;
   struct SlabPool;
 
-  /// One declareWords call. FirstVpn..LastVpn span its words' pages.
+  /// One declareWords call. Its words span the bytes [Base, End).
   struct Declaration {
     Addr Base;
+    Addr End;
     uint64_t Count;
     uint64_t Stride;
     std::function<uint64_t(uint64_t)> Value;
-    uint64_t FirstVpn;
-    uint64_t LastVpn;
+    uint64_t firstVpn() const { return Base >> PageBits; }
+    uint64_t lastVpn() const { return (End - 1) >> PageBits; }
   };
 
-  /// The page holding \p A. An absent page materializes when \p Create
-  /// or a declaration covers it; otherwise the result is null.
-  Page *lookupPage(Addr A, bool Create);
+  /// The page holding \p A, or null when it has not materialized.
+  Page *lookupPage(Addr A);
+  /// The page holding \p A, materialized if it is absent.
+  Page &writablePage(Addr A);
   /// Table slot holding \p Key, or the empty slot where it would go.
   size_t slotOf(uint64_t Key) const;
   Page *findPage(uint64_t Key) const {
@@ -110,6 +114,9 @@ private:
   bool declares(uint64_t Vpn) const;
   /// Writes every declaration's words on page \p Vpn, in declaration order.
   void fillDeclared(uint64_t Vpn, Page &P) const;
+  /// The 8 bytes at \p A as the declarations alone give them, later
+  /// declarations over earlier ones; bytes no word covers read as zero.
+  uint64_t readDeclared(Addr A) const;
 
   // Open-addressing VPN -> page table with slab-allocated page storage:
   // a streaming workload materializes pages steadily, and per-page
@@ -120,9 +127,10 @@ private:
   std::vector<uint64_t> Keys; ///< VPN + 1; 0 marks an empty slot
   std::vector<Page *> Slots;
   size_t NumPages = 0;
-  /// One-entry translation cache in front of the table. Pages never move
-  /// (grow() rehashes pointers only), so an entry stays valid for the
-  /// memory's lifetime.
+  /// One-entry translation cache in front of the table. It may remember
+  /// an absent page (a null CachedPage) until a write materializes it.
+  /// Pages never move (grow() rehashes pointers only), so a present entry
+  /// stays valid for the memory's lifetime.
   uint64_t CachedKey = 0;
   Page *CachedPage = nullptr;
   /// Owned slabs in hand-out order. Current hands out pages; the slabs
@@ -135,7 +143,7 @@ private:
   std::vector<Declaration> Decls;
   /// Declared pages that have not materialized yet (an upper bound: a
   /// page two declarations share counts twice). reserve() keeps room for
-  /// them.
+  /// them, so a write into one never allocates.
   size_t Reserved = 0;
 };
 

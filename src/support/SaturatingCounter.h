@@ -21,10 +21,13 @@
 
 namespace trident {
 
-/// An integer counter clamped to [0, Max].
+/// An integer counter clamped to [0, Max], stored in one byte: a
+/// predictor's table of 2-bit counters costs one byte per entry.
 ///
 /// \tparam Max inclusive upper bound (e.g. 15 for a 4-bit counter).
 template <int Max> class SaturatingCounter {
+  static_assert(Max > 0 && Max <= 255, "the value is stored in one byte");
+
 public:
   SaturatingCounter() = default;
   explicit SaturatingCounter(int Initial) : Value(clamp(Initial)) {}
@@ -49,9 +52,11 @@ public:
   static constexpr int max() { return Max; }
 
 private:
-  static int clamp(int V) { return std::min(Max, std::max(0, V)); }
+  static uint8_t clamp(int V) {
+    return static_cast<uint8_t>(std::min(Max, std::max(0, V)));
+  }
 
-  int Value = 0;
+  uint8_t Value = 0;
 };
 
 /// 2-bit predictor counter (states 0..3, predict-taken when >= 2).

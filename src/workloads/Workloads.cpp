@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 
 using namespace trident;
 
@@ -45,33 +46,26 @@ Addr trident::buildLinkedList(DataMemory &Mem, Addr Base, uint64_t NumNodes,
                      [=](uint64_t N) { return nodeAddr((N + 1) % NumNodes); });
     return Base;
   }
-  // A chase over a shuffled list touches nearly every page anyway, so its
-  // links are written now rather than declared, and no successor table
-  // outlives the build.
-  std::vector<uint64_t> Order(NumNodes);
-  for (uint64_t I = 0; I < NumNodes; ++I)
-    Order[I] = I;
-  SplitMix64 Rng(Seed);
-  shuffle(Order, Rng);
-  // Rotate so node 0 (at Base) leads the traversal: callers can start
-  // chasing at Base without searching for the head.
-  for (uint64_t I = 0; I < NumNodes; ++I) {
-    if (Order[I] == 0) {
-      std::rotate(Order.begin(), Order.begin() + I, Order.end());
-      break;
-    }
+  // The links are declared through a successor table, 4 bytes a node,
+  // so the list's pages are read in place and never written at Init.
+  std::vector<uint32_t> Next(NumNodes);
+  {
+    std::vector<uint32_t> Order(NumNodes);
+    std::iota(Order.begin(), Order.end(), 0u);
+    SplitMix64 Rng(Seed);
+    shuffle(Order, Rng);
+    // Rotate so node 0 (at Base) leads the traversal: callers can start
+    // chasing at Base without searching for the head.
+    std::rotate(Order.begin(), std::find(Order.begin(), Order.end(), 0u),
+                Order.end());
+    // Order[I] is the node at list position I.
+    for (uint64_t I = 0; I < NumNodes; ++I)
+      Next[Order[I]] = Order[(I + 1) % NumNodes];
   }
-  // Order[I] is the node at list position I. Stash each node's own
-  // position in the high half of its slot, then write the links in node
-  // address order: the image fills page by page instead of taking a DRAM
-  // miss per link, and no second per-node array is needed.
-  constexpr uint64_t NodeMask = UINT32_MAX;
-  for (uint64_t I = 0; I < NumNodes; ++I)
-    Order[Order[I] & NodeMask] |= I << 32;
-  for (uint64_t N = 0; N < NumNodes; ++N) {
-    uint64_t Next = Order[((Order[N] >> 32) + 1) % NumNodes] & NodeMask;
-    Mem.write64(nodeAddr(N) + LinkOffset, nodeAddr(Next));
-  }
+  Mem.declareWords(Base + LinkOffset, NumNodes, NodeSize,
+                   [=, Next = std::move(Next)](uint64_t N) {
+                     return nodeAddr(Next[N]);
+                   });
   return Base;
 }
 

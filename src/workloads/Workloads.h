@@ -68,9 +68,10 @@ std::vector<Workload> makeAllWorkloads();
 /// otherwise nodes link in address order (so the chasing load is
 /// stride-predictable, as the paper observes for regularly allocated
 /// structures). Returns the head of the traversal, which is always \p Base:
-/// a shuffled order is rotated so node 0 leads. A sequential list's links
-/// are declared (DataMemory::declareWords), so its pages fill on first
-/// touch; a shuffled list's links are written at once.
+/// a shuffled order is rotated so node 0 leads. The links are declared
+/// (DataMemory::declareWords), so reads see them in place and a page
+/// materializes only when written; a shuffled list declares them through
+/// a successor table of 4 bytes per node.
 Addr buildLinkedList(DataMemory &Mem, Addr Base, uint64_t NumNodes,
                      unsigned NodeSize, unsigned LinkOffset, bool Shuffled,
                      uint64_t Seed = 1);

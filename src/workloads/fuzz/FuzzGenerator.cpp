@@ -26,8 +26,9 @@ namespace {
 constexpr char kFuzzPrefix[] = "fuzz@";
 
 /// Knob metadata: name, range, and accessor — one row per FuzzKnobs field,
-/// shared by the parser (validation) and the name builder (canonical
-/// order), so the two can never disagree about what a knob is called.
+/// shared by the parser (validation and its unknown-knob text) and the
+/// name builder (canonical order), so none of them can disagree about
+/// what a knob is called.
 struct KnobInfo {
   const char *Name;
   uint64_t Min;
@@ -409,9 +410,10 @@ bool trident::parseFuzzSpec(const std::string &Spec, uint64_t &Seed,
       if (Key == kKnobs[K].Name)
         break;
     if (K == kNumKnobs) {
-      setError(Error, "unknown knob '" + Key +
-                          "' (have wset, segs, entropy, branch, phase, "
-                          "streams)");
+      std::string Have;
+      for (const KnobInfo &Info : kKnobs)
+        Have += (Have.empty() ? "" : ", ") + std::string(Info.Name);
+      setError(Error, "unknown knob '" + Key + "' (have " + Have + ")");
       return false;
     }
     if (Seen[K]) {

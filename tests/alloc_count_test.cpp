@@ -141,21 +141,33 @@ TEST(AllocCount, RecycledSlabHandoutIsAllocFree) {
 
 TEST(AllocCount, DeclaredPagesMaterializeAllocFree) {
   // declareWords reserves table capacity and slab room for every page its
-  // words can touch, so a first-touch fill inside a measurement window
-  // never allocates. 1,000 pages span four slabs and pass the table's
-  // first growth point (768 pages).
+  // words can touch, so the write that materializes one inside a
+  // measurement window never allocates; a read materializes nothing.
+  // 1,000 pages span four slabs and pass the table's first growth point
+  // (768 pages).
   constexpr unsigned Pages = 1000;
   constexpr Addr Base = 0x8000'0000;
   constexpr uint64_t WordsPerPage = DataMemory::PageSize / 8;
   DataMemory M;
   M.declareWords(Base, Pages * WordsPerPage, 8, [](uint64_t I) { return I; });
   uint64_t Sum = 0;
-  uint64_t Allocs = countedAllocs([&] {
+  uint64_t ReadAllocs = countedAllocs([&] {
     for (unsigned P = 0; P < Pages; ++P)
       Sum += M.read64(Base + P * DataMemory::PageSize);
   });
+  EXPECT_EQ(M.numPages(), 0u) << "reading declared pages materialized them";
+  EXPECT_EQ(ReadAllocs, 0u) << "reading declared pages heap-allocated";
+  uint64_t Written = 0;
+  uint64_t Allocs = countedAllocs([&] {
+    for (unsigned P = 0; P < Pages; ++P) {
+      const Addr A = Base + P * DataMemory::PageSize;
+      M.write64(A + 8, M.read64(A + 8)); // a write-back materializes
+      Written += M.read64(A);
+    }
+  });
   EXPECT_EQ(M.numPages(), Pages);
   EXPECT_EQ(Sum, WordsPerPage * Pages * (Pages - 1) / 2);
+  EXPECT_EQ(Written, Sum);
   EXPECT_EQ(Allocs, 0u) << "materializing declared pages heap-allocated";
 }
 

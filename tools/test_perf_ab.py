@@ -64,5 +64,51 @@ class Verdict(unittest.TestCase):
         self.assertTrue(wall and wall[0].endswith("unresolved"), lines)
 
 
+def line_of(lines, metric):
+    found = [l for l in lines if " %s " % metric in l]
+    assert len(found) == 1, lines
+    return found[0]
+
+
+class GainRule(unittest.TestCase):
+    def test_ten_of_ten_wins_read_gain(self):
+        lines, passed = judge(runs(), runs(wall_scale=0.8))
+        self.assertTrue(passed, lines)
+        wall = line_of(lines, "wall_s")
+        self.assertIn(" won 10/10 gain ok", wall)
+
+    def test_eight_of_ten_wins_are_no_gain(self):
+        head = runs(wall_scale=0.8)
+        head[0] = result(11, 1e7)
+        head[9] = result(11, 1e7)
+        wall = line_of(judge(runs(), head)[0], "wall_s")
+        self.assertIn(" won 8/10 ok", wall)
+        self.assertNotIn("gain", wall)
+
+    def test_ties_count_for_neither_side(self):
+        base, head = runs(), runs(wall_scale=0.8)
+        head[0], head[9] = base[0], base[9]
+        wall = line_of(judge(base, head)[0], "wall_s")
+        self.assertIn(" won 8/10 ok", wall)
+        self.assertNotIn("gain", wall)
+        ips = line_of(judge(base, base)[0], "sim_ips")
+        self.assertIn(" won 0/10 ok", ips)
+
+    def test_a_failed_run_forfeits_its_pair(self):
+        head = runs(wall_scale=0.8)
+        head[3] = result(1, 1e7, failed=1)
+        wall = line_of(judge(runs(), head)[0], "wall_s")
+        self.assertIn(" won 9/10 gain ok", wall)
+        base = runs()
+        base[3] = None
+        wall = line_of(judge(base, runs(wall_scale=0.8))[0], "wall_s")
+        self.assertIn(" won 10/10 ", wall)
+
+    def test_a_median_gain_within_the_base_spread_is_no_gain(self):
+        lines = judge(runs(), runs(wall_scale=0.99))[0]
+        wall = line_of(lines, "wall_s")
+        self.assertIn(" won 10/10 ok", wall)
+
+
 if __name__ == "__main__":
     unittest.main()
