@@ -137,6 +137,15 @@ TEST(SelectorConfig, RejectsBadSpecs) {
   EXPECT_FALSE(SelectorConfig::parse("bandit:seed=1,seed=2", C, &Err));
 }
 
+TEST(SelectorConfig, UnknownPolicyTextNamesEveryPolicy) {
+  // The full text, pinned: every policy in enum order.
+  SelectorConfig C;
+  std::string Err;
+  EXPECT_FALSE(SelectorConfig::parse("greedy", C, &Err));
+  EXPECT_EQ(Err, "unknown selector policy 'greedy' "
+                 "(policies: static, bandit, oracle)");
+}
+
 TEST(SelectorConfig, UnknownKnobTextNamesEveryPolicyVocabulary) {
   // The full text, pinned: every policy's knobs in their table order.
   const std::string Vocabulary =

@@ -93,6 +93,7 @@ enum class Suite { GoldenStats, FuzzGolden, SweepIdentity };
 /// prefetcher unit and a selector spec. The self-repair rows also set a
 /// longer budget, a fault plan (FaultPlan JSON, absolute trigger cycles) or
 /// a phase-detection interval (nonzero turns on ClearMatureOnPhaseChange).
+/// A TLB row turns on the data TLB.
 struct CorpusRow {
   const char *Spec;
   const char *File;
@@ -102,6 +103,7 @@ struct CorpusRow {
   uint64_t SimInstructions = kSimInstructions;
   const char *Faults = "";
   uint64_t PhaseIntervalCommits = 0;
+  bool Tlb = false;
 };
 
 /// Re-opens and restarts mcf's climb: a long memory-latency spike and a
@@ -124,7 +126,9 @@ constexpr const char *kMcfRepairFaults = R"({"seed":0,"actions":[
 /// settled load or restarts a climb, and only dot and fuzz@101 mature any
 /// load. fuzz@101 with phase detection phase-resets a settled load only
 /// after 150k instructions, and a reset load climbs again only by 700k, so
-/// it runs at 150k (phase changes only) and at 700k.
+/// it runs at 150k (phase changes only) and at 700k. The TLB row is the
+/// only one with the data TLB on: mcf misses it more often than it has
+/// entries, so it replaces entries, and drops thousands of prefetches.
 const CorpusRow kCorpus[] = {
     {"applu", "applu"},     {"art", "art"},         {"dot", "dot"},
     {"equake", "equake"},   {"facerec", "facerec"}, {"fma3d", "fma3d"},
@@ -147,6 +151,7 @@ const CorpusRow kCorpus[] = {
      10'000},
     {"fuzz@101", "repair_fuzz_101_phase_long", {}, "sb8x8", "", 700'000, "",
      10'000},
+    {"mcf", "tlb_mcf", {}, "sb8x8", "", kSimInstructions, "", 0, true},
 };
 
 SimConfig budgeted(SimConfig C) {
@@ -178,12 +183,14 @@ SimConfig corpusConfig(const CorpusRow &R) {
     C.Runtime.ClearMatureOnPhaseChange = true;
     C.Runtime.PhaseIntervalCommits = R.PhaseIntervalCommits;
   }
+  C.Mem.Tlb.Enable = R.Tlb;
   return C;
 }
 
-/// A named-workload row: one of the 14 programs, solo and unfaulted.
+/// A named-workload row: one of the 14 programs, solo, unfaulted and
+/// without a TLB.
 bool isNamedRow(const CorpusRow &R) {
-  return R.MixWith.empty() && !isFuzzSpec(R.Spec) && !*R.Faults;
+  return R.MixWith.empty() && !isFuzzSpec(R.Spec) && !*R.Faults && !R.Tlb;
 }
 
 FaultAction faultAt(FaultKind Kind, Cycle At) {
