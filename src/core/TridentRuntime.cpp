@@ -94,9 +94,8 @@ int TridentRuntime::currentDistanceFor(Addr OrigStart) const {
 // Commit-stream observation
 //===----------------------------------------------------------------------===//
 
-void TridentRuntime::accountPhase(Addr PC) {
-  if (CC.contains(PC)) {
-    uint32_t Tid = CC.traceIdAt(PC);
+void TridentRuntime::accountPhase(uint32_t Tid) {
+  if (Tid != NoTrace) {
     if (Tid >= PhaseCounts.size())
       PhaseCounts.resize(Tid + 1, 0);
     ++PhaseCounts[Tid];
@@ -160,31 +159,41 @@ void TridentRuntime::onPhaseChange() {
 void TridentRuntime::attach(EventBus &B) {
   TRIDENT_CHECK(Bus == nullptr, "runtime already attached to a bus");
   Bus = &B;
-  // Commit subscriber order is load-bearing: the watch table's excursion
-  // tracking ran before profiler training inside the old monolithic
-  // listener, and per-kind dispatch order equals subscription order.
-  B.subscribe(&WatchSub, eventMaskOf(EventKind::Commit));
-  B.subscribe(&ProfilerSub,
-              eventMaskOf(EventKind::Commit) | eventMaskOf(EventKind::Branch));
-  B.subscribe(&DltSub, eventMaskOf(EventKind::LoadOutcome));
+  B.subscribe(this, eventMaskOf(EventKind::Commit) |
+                        eventMaskOf(EventKind::Branch) |
+                        eventMaskOf(EventKind::LoadOutcome));
 }
 
-void TridentRuntime::handleWatchCommit(const HardwareEvent &Ev) {
+void TridentRuntime::onEvent(const HardwareEvent &Ev) {
   if (Ev.Ctx != 0)
     return;
+  // One code-cache probe per event; every monitor reads this trace id.
+  const uint32_t Tid = CC.contains(Ev.PC) ? CC.traceIdAt(Ev.PC) : NoTrace;
+  if (Ev.Kind == EventKind::Commit) {
+    handleCommit(Ev, Tid);
+  } else if (Ev.Kind == EventKind::LoadOutcome) {
+    handleLoad(Ev, Tid);
+  } else if (Enabled && Tid == NoTrace && !CC.contains(Ev.EA)) {
+    // A branch. Trace-internal control flow never trains the profiler,
+    // and entry jumps into the code cache are runtime glue.
+    Profiler.onBranch(Ev.PC, Ev.Insn->isConditionalBranch(), Ev.Taken, Ev.EA);
+  }
+}
+
+void TridentRuntime::handleCommit(const HardwareEvent &Ev, uint32_t Tid) {
   const Addr PC = Ev.PC;
   const Cycle Now = Ev.Time;
   ++Stats.CommitsTotal;
   if (Config.ClearMatureOnPhaseChange && Enabled)
-    accountPhase(PC);
+    accountPhase(Tid);
 
-  if (CC.contains(PC)) {
+  if (Tid != NoTrace) {
     ++Stats.CommitsInTraces;
     // Trace excursion tracking for the watch table's iteration timing.
-    uint32_t Tid = CC.traceIdAt(PC);
+    // Trace-internal commits never train the profiler.
     const TraceMeta &M = Traces[Tid];
     if (CurTraceId != Tid || CurHeadAddr != M.CacheAddr) {
-      if (CurTraceId != ~0u)
+      if (CurTraceId != NoTrace)
         Bus->publish(
             HardwareEvent::traceMark(EventKind::TraceExit, CurTraceId, PC, Now));
       Bus->publish(HardwareEvent::traceMark(EventKind::TraceEntry, Tid, PC, Now));
@@ -209,44 +218,31 @@ void TridentRuntime::handleWatchCommit(const HardwareEvent &Ev) {
                      CC.contains(static_cast<Addr>(I.Imm));
   if (!IsEntryGlue) {
     // Genuine original-code commit: ends any trace excursion.
-    if (CurTraceId != ~0u)
+    if (CurTraceId != NoTrace)
       Bus->publish(
           HardwareEvent::traceMark(EventKind::TraceExit, CurTraceId, PC, Now));
-    CurTraceId = ~0u;
+    CurTraceId = NoTrace;
     LastHeadValid = false;
   }
-}
 
-void TridentRuntime::handleProfilerCommit(const HardwareEvent &Ev) {
-  if (Ev.Ctx != 0 || !Enabled)
+  // Profiler training, after the excursion tracking above.
+  if (!Enabled)
     return;
-  if (CC.contains(Ev.PC))
-    return; // Trace-internal commits never train the profiler.
-  if (std::optional<HotTraceCandidate> Cand = Profiler.onCommit(Ev.PC)) {
+  if (std::optional<HotTraceCandidate> Cand = Profiler.onCommit(PC)) {
     ++Stats.HotTraceEvents;
-    raiseEvent(HardwareEvent::hotTrace(*Cand, Ev.Time));
+    raiseEvent(HardwareEvent::hotTrace(*Cand, Now));
   }
 }
 
-void TridentRuntime::handleProfilerBranch(const HardwareEvent &Ev) {
-  if (Ev.Ctx != 0 || !Enabled)
-    return;
-  if (CC.contains(Ev.PC))
-    return; // Trace-internal control flow never trains the profiler.
-  if (CC.contains(Ev.EA))
-    return; // Entry jumps into the code cache are runtime glue.
-  Profiler.onBranch(Ev.PC, Ev.Insn->isConditionalBranch(), Ev.Taken, Ev.EA);
-}
-
-void TridentRuntime::handleLoad(const HardwareEvent &Ev) {
-  if (Ev.Ctx != 0 || Ev.Insn->Synthetic)
+void TridentRuntime::handleLoad(const HardwareEvent &Ev, uint32_t Tid) {
+  if (Ev.Insn->Synthetic)
     return;
   const Addr PC = Ev.PC;
   const Addr EA = Ev.EA;
   const AccessResult &R = *Ev.Access;
   const Cycle Now = Ev.Time;
 
-  bool InTrace = CC.contains(PC);
+  const bool InTrace = Tid != NoTrace;
   bool Miss = R.Outcome != LoadOutcome::HitNone &&
               R.Outcome != LoadOutcome::HitPrefetched;
   Cycle BestCase = Now + Config.L1HitLatency;
@@ -279,7 +275,7 @@ void TridentRuntime::handleLoad(const HardwareEvent &Ev) {
     ++Stats.LoadMissesTotal;
     if (InTrace) {
       ++Stats.LoadMissesInTraces;
-      if (coveredLoad(Traces[CC.traceIdAt(PC)], PC).first)
+      if (coveredLoad(Traces[Tid], PC).first)
         ++Stats.LoadMissesCovered;
     }
   }
@@ -290,7 +286,6 @@ void TridentRuntime::handleLoad(const HardwareEvent &Ev) {
   // DLT monitoring of hot-trace loads.
   if (Dlt.update(PC, EA, Miss, ExposedLatency)) {
     ++Stats.DelinquentEvents;
-    uint32_t Tid = CC.traceIdAt(PC);
     WatchEntry *W = Watch.find(Tid);
     TRIDENT_DBG("[trident] event pc=0x%llx trace=%u optflag=%d\n",
                 (unsigned long long)PC, Tid, W && W->OptInProgress);
@@ -525,7 +520,7 @@ unsigned TridentRuntime::invalidateAllTraces() {
 // Delinquent-load optimization: insertion, repair, maturing
 //===----------------------------------------------------------------------===//
 
-int TridentRuntime::maxDistanceFor(const TraceMeta &M) const {
+int TridentRuntime::maxDistanceFor(const TraceMeta &M) {
   const WatchEntry *W = Watch.find(M.Id);
   Cycle MinT = W && W->MinExecTime != ~static_cast<Cycle>(0)
                    ? std::max<Cycle>(W->MinExecTime, 1)
@@ -534,8 +529,7 @@ int TridentRuntime::maxDistanceFor(const TraceMeta &M) const {
   return std::clamp(Max, 1, Config.DistanceCap);
 }
 
-int TridentRuntime::estimateDistance(const TraceMeta &M,
-                                     Addr TriggerPC) const {
+int TridentRuntime::estimateDistance(const TraceMeta &M, Addr TriggerPC) {
   // Equation 2: distance = avg load miss latency / cycles per iteration
   // (the basic, non-adaptive estimator). We divide by the watch table's
   // *minimal* execution time — the quantity the hardware actually tracks —
@@ -557,7 +551,7 @@ int TridentRuntime::estimateDistance(const TraceMeta &M,
   return std::clamp(D, 1, Config.DistanceCap);
 }
 
-int TridentRuntime::seedDistance(const TraceMeta &M, Addr TriggerPC) const {
+int TridentRuntime::seedDistance(const TraceMeta &M, Addr TriggerPC) {
   // Section 3.5.1; the fixed-distance modes and the Section 5.3 "alternate
   // strategy" ablation start at the equation-2 estimate.
   return Config.Mode == PrefetchMode::SelfRepairing &&

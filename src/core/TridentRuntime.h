@@ -8,8 +8,8 @@
 /// The Trident runtime extended with the self-repairing prefetcher — the
 /// orchestrator of the whole paper:
 ///
-///  * observes the commit stream of the main thread (its monitors are
-///    independent EventBus subscribers; see attach()),
+///  * observes the commit stream of the main thread as one EventBus
+///    subscriber that feeds its monitors in a fixed order (see attach()),
 ///  * detects hot traces (branch profiler), forms and links them
 ///    (trace builder, code cache, binary patcher, watch table),
 ///  * monitors hot-trace loads in the DLT; delinquent-load events spawn
@@ -204,7 +204,7 @@ struct RuntimeStats {
   }
 };
 
-class TridentRuntime final {
+class TridentRuntime final : public EventSubscriber {
 public:
   TridentRuntime(const RuntimeConfig &Config, Program &Prog, SmtCore &Core,
                  CodeCache &CC);
@@ -213,17 +213,20 @@ public:
   void setEnabled(bool E) { Enabled = E; }
   bool enabled() const { return Enabled; }
 
-  /// Subscribes the runtime's hardware monitors to \p B, each as an
-  /// independent subscriber: the watch table (Commit), the branch
-  /// profiler (Commit + Branch), and the DLT (LoadOutcome). Subscription
-  /// order is load-bearing: the watch table's excursion tracking ran
-  /// before profiler training inside the old monolithic listener, and
-  /// the bus dispatches Commit subscribers in exactly this order.
+  /// Subscribes the runtime to \p B once, for Commit, Branch and
+  /// LoadOutcome. onEvent feeds its hardware monitors from there: a commit
+  /// runs the watch table's excursion tracking and then profiler
+  /// training, a branch trains the profiler, and a load outcome updates
+  /// the DLT. That order is fixed by code, not by subscription order.
   ///
   /// The runtime also publishes its filtered events (HotTrace,
   /// DelinquentLoad) and the TraceEntry/TraceExit excursion markers back
   /// into \p B for observability sinks.
   void attach(EventBus &B);
+
+  /// The one bus entry: drops events of contexts other than the main
+  /// thread, probes the code cache once and dispatches by kind.
+  void onEvent(const HardwareEvent &E) override;
 
   const RuntimeStats &stats() const { return Stats; }
   void clearStats() {
@@ -239,7 +242,6 @@ public:
   /// The helper-thread registration structure (Section 3.1).
   const RegistrationStructure &registration() const { return Registration; }
   const DelinquentLoadTable &dlt() const { return Dlt; }
-  const BranchProfiler &profiler() const { return Profiler; }
 
   /// Introspection for tests/examples: the plan of the trace rooted at
   /// \p OrigStart, or nullptr.
@@ -281,33 +283,13 @@ private:
     bool Invalidated = false;
   };
 
-  // Subscriber adapters: each monitor appears on the bus as its own
-  // subscriber, forwarding into the runtime that owns the shared state.
-  struct WatchSubscriber final : EventSubscriber {
-    TridentRuntime &R;
-    explicit WatchSubscriber(TridentRuntime &Rt) : R(Rt) {}
-    void onEvent(const HardwareEvent &E) override { R.handleWatchCommit(E); }
-  };
-  struct ProfilerSubscriber final : EventSubscriber {
-    TridentRuntime &R;
-    explicit ProfilerSubscriber(TridentRuntime &Rt) : R(Rt) {}
-    void onEvent(const HardwareEvent &E) override {
-      if (E.Kind == EventKind::Branch)
-        R.handleProfilerBranch(E);
-      else
-        R.handleProfilerCommit(E);
-    }
-  };
-  struct DltSubscriber final : EventSubscriber {
-    TridentRuntime &R;
-    explicit DltSubscriber(TridentRuntime &Rt) : R(Rt) {}
-    void onEvent(const HardwareEvent &E) override { R.handleLoad(E); }
-  };
+  /// The trace id of a PC outside the code cache.
+  static constexpr uint32_t NoTrace = ~0u;
 
-  void handleWatchCommit(const HardwareEvent &E);
-  void handleProfilerCommit(const HardwareEvent &E);
-  void handleProfilerBranch(const HardwareEvent &E);
-  void handleLoad(const HardwareEvent &E);
+  /// The monitors' share of a main-thread commit or load outcome whose PC
+  /// lies in trace \p Tid (NoTrace outside the code cache).
+  void handleCommit(const HardwareEvent &E, uint32_t Tid);
+  void handleLoad(const HardwareEvent &E, uint32_t Tid);
 
   void raiseEvent(const HardwareEvent &E);
   void dispatchNext();
@@ -372,16 +354,18 @@ private:
                    const std::vector<unsigned> &OldToNew,
                    const std::vector<unsigned> &PatchSlots);
 
-  int estimateDistance(const TraceMeta &M, Addr TriggerPC) const;
+  // The distance helpers touch the trace's watch entry: not const.
+  int estimateDistance(const TraceMeta &M, Addr TriggerPC);
   /// The distance a new group, a re-seeded group or a restarted climb
   /// starts from.
-  int seedDistance(const TraceMeta &M, Addr TriggerPC) const;
-  int maxDistanceFor(const TraceMeta &M) const;
+  int seedDistance(const TraceMeta &M, Addr TriggerPC);
+  int maxDistanceFor(const TraceMeta &M);
   void clearOptFlag(uint32_t TraceId);
 
-  /// Phase detection over the executing-trace mix; on a phase change,
-  /// clears mature flags so changed loads can be re-optimized.
-  void accountPhase(Addr PC);
+  /// Phase detection over the executing-trace mix (\p Tid is the
+  /// committing trace, or NoTrace); on a phase change, clears mature flags
+  /// so changed loads can be re-optimized.
+  void accountPhase(uint32_t Tid);
   void onPhaseChange();
 
   RuntimeConfig Config;
@@ -403,12 +387,9 @@ private:
   bool Enabled = false;
 
   EventBus *Bus = nullptr;
-  WatchSubscriber WatchSub{*this};
-  ProfilerSubscriber ProfilerSub{*this};
-  DltSubscriber DltSub{*this};
 
   // Per-main-context trace excursion tracking (iteration timing).
-  uint32_t CurTraceId = ~0u;
+  uint32_t CurTraceId = NoTrace;
   Addr CurHeadAddr = 0;
   Cycle LastHeadCycle = 0;
   bool LastHeadValid = false;

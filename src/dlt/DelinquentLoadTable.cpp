@@ -41,53 +41,16 @@ std::string DltConfig::invalidReason() const {
   return "";
 }
 
-DelinquentLoadTable::DelinquentLoadTable(const DltConfig &Cfg) : Config(Cfg) {
-  const std::string Why = Config.invalidReason();
+/// \p C, once it is known to build a table.
+static const DltConfig &validated(const DltConfig &C) {
+  const std::string Why = C.invalidReason();
   TRIDENT_CHECK(Why.empty(), "%s", Why.c_str());
-  NumSets = Config.NumEntries / Config.Assoc;
-  TagsArr.resize(Config.NumEntries, 0);
-  ValidArr.resize(Config.NumEntries, 0);
-  Payloads.resize(Config.NumEntries);
+  return C;
 }
 
-size_t DelinquentLoadTable::find(Addr PC) const {
-  size_t Base = setIndex(PC) * Config.Assoc;
-  for (unsigned W = 0; W < Config.Assoc; ++W)
-    if (ValidArr[Base + W] && TagsArr[Base + W] == PC)
-      return Base + W;
-  return NoEntry;
-}
-
-size_t DelinquentLoadTable::findOrAllocate(Addr PC) {
-  if (size_t I = find(PC); I != NoEntry) {
-    Payloads[I].LastUse = ++UseClock;
-    return I;
-  }
-  size_t Base = setIndex(PC) * Config.Assoc;
-  // Size bound: the DLT is a fixed SRAM structure (Table 2); every set
-  // must lie inside the backing array or replacement state is corrupt.
-  TRIDENT_DCHECK(Base + Config.Assoc <= TagsArr.size(),
-                 "DLT set for pc 0x%llx overruns the table (base %zu + %u > "
-                 "%zu entries)",
-                 (unsigned long long)PC, Base, Config.Assoc, TagsArr.size());
-  size_t Victim = Base;
-  for (unsigned W = 0; W < Config.Assoc; ++W) {
-    size_t I = Base + W;
-    if (!ValidArr[I]) {
-      Victim = I;
-      break;
-    }
-    if (Payloads[I].LastUse < Payloads[Victim].LastUse)
-      Victim = I;
-  }
-  if (ValidArr[Victim])
-    ++Stats.Replacements;
-  Payloads[Victim] = Payload();
-  ValidArr[Victim] = 1;
-  TagsArr[Victim] = PC;
-  Payloads[Victim].LastUse = ++UseClock;
-  return Victim;
-}
+DelinquentLoadTable::DelinquentLoadTable(const DltConfig &Cfg)
+    : Config(validated(Cfg)),
+      Entries(Config.NumEntries / Config.Assoc, Config.Assoc) {}
 
 bool DelinquentLoadTable::meetsDelinquencyCriteria(const Payload &P) const {
   if (P.Misses < Config.MissThreshold)
@@ -99,7 +62,9 @@ bool DelinquentLoadTable::meetsDelinquencyCriteria(const Payload &P) const {
 bool DelinquentLoadTable::update(Addr LoadPC, Addr EffectiveAddr, bool Miss,
                                  unsigned MissLatency) {
   ++Stats.Updates;
-  Payload &E = Payloads[findOrAllocate(LoadPC)];
+  const auto Slot = Entries.touchOrInsert(LoadPC);
+  Stats.Replacements += Slot.Evicted.has_value();
+  Payload &E = Slot.Value;
 
   // Stride prediction state updates on *every* committed instance of the
   // load, independent of the window counters (Section 3.3).
@@ -163,10 +128,10 @@ bool DelinquentLoadTable::update(Addr LoadPC, Addr EffectiveAddr, bool Miss,
 }
 
 std::optional<DltSnapshot> DelinquentLoadTable::lookup(Addr LoadPC) const {
-  size_t I = find(LoadPC);
-  if (I == NoEntry)
+  const Payload *Found = Entries.find(LoadPC);
+  if (!Found)
     return std::nullopt;
-  const Payload &P = Payloads[I];
+  const Payload &P = *Found;
   DltSnapshot S;
   S.LoadPC = LoadPC;
   S.Accesses = P.Accesses;
@@ -179,10 +144,10 @@ std::optional<DltSnapshot> DelinquentLoadTable::lookup(Addr LoadPC) const {
 }
 
 bool DelinquentLoadTable::isDelinquent(Addr LoadPC) const {
-  size_t I = find(LoadPC);
-  if (I == NoEntry || Payloads[I].Mature)
+  const Payload *Found = Entries.find(LoadPC);
+  if (!Found || Found->Mature)
     return false;
-  const Payload &P = Payloads[I];
+  const Payload &P = *Found;
   if (P.Misses == 0)
     return false;
   double AvgMissLat = static_cast<double>(P.TotalMissLatency) / P.Misses;
@@ -201,10 +166,10 @@ bool DelinquentLoadTable::isDelinquent(Addr LoadPC) const {
 }
 
 void DelinquentLoadTable::clearWindow(Addr LoadPC) {
-  size_t I = find(LoadPC);
-  if (I == NoEntry)
+  Payload *Found = Entries.find(LoadPC);
+  if (!Found)
     return;
-  Payload &P = Payloads[I];
+  Payload &P = *Found;
   P.Accesses = 0;
   P.Misses = 0;
   P.TotalMissLatency = 0;
@@ -212,7 +177,9 @@ void DelinquentLoadTable::clearWindow(Addr LoadPC) {
 }
 
 void DelinquentLoadTable::forceMature(Addr LoadPC) {
-  Payload &P = Payloads[findOrAllocate(LoadPC)];
+  const auto Slot = Entries.touchOrInsert(LoadPC);
+  Stats.Replacements += Slot.Evicted.has_value();
+  Payload &P = Slot.Value;
   P.Mature = true;
   P.Accesses = 0;
   P.Misses = 0;
@@ -222,33 +189,20 @@ void DelinquentLoadTable::forceMature(Addr LoadPC) {
 
 uint64_t DelinquentLoadTable::clearAllMature() {
   uint64_t N = 0;
-  for (size_t I = 0; I < Payloads.size(); ++I) {
-    if (ValidArr[I] && Payloads[I].Mature) {
-      Payloads[I].Mature = false;
-      ++N;
-    }
-  }
+  Entries.forEach([&N](Addr, Payload &P) {
+    N += P.Mature;
+    P.Mature = false;
+  });
   return N;
 }
 
-uint64_t DelinquentLoadTable::invalidateAll() {
-  uint64_t N = 0;
-  for (size_t I = 0; I < Payloads.size(); ++I) {
-    if (ValidArr[I]) {
-      ValidArr[I] = 0;
-      TagsArr[I] = 0;
-      Payloads[I] = Payload();
-      ++N;
-    }
-  }
-  return N;
-}
+uint64_t DelinquentLoadTable::invalidateAll() { return Entries.clear(); }
 
 void DelinquentLoadTable::setMature(Addr LoadPC, bool Mature) {
-  size_t I = find(LoadPC);
-  if (I == NoEntry)
+  Payload *Found = Entries.find(LoadPC);
+  if (!Found)
     return;
-  Payload &P = Payloads[I];
+  Payload &P = *Found;
   P.Mature = Mature;
   if (Mature) {
     P.Accesses = 0;

@@ -27,6 +27,7 @@
 
 #include "isa/Instruction.h"
 #include "support/Fields.h"
+#include "support/LruTable.h"
 #include "support/SaturatingCounter.h"
 #include "support/Types.h"
 
@@ -159,9 +160,8 @@ public:
   const DltStats &stats() const { return Stats; }
 
 private:
-  /// Per-entry monitoring state minus the lookup key. The key (tag +
-  /// valid bit) lives in packed parallel arrays so the per-commit find()
-  /// scans contiguous tags instead of striding over this fat record.
+  /// Per-entry monitoring state; the tag, valid bit and LRU stamp live in
+  /// the table's packed arrays.
   struct Payload {
     uint32_t Accesses = 0;
     uint32_t Misses = 0;
@@ -173,25 +173,13 @@ private:
     bool Mature = false;
     /// Event fired; counters frozen until the helper clears them.
     bool Frozen = false;
-    uint64_t LastUse = 0;
   };
-
-  static constexpr size_t NoEntry = ~static_cast<size_t>(0);
 
   bool meetsDelinquencyCriteria(const Payload &P) const;
 
-  size_t setIndex(Addr PC) const { return PC & (NumSets - 1); }
-  size_t find(Addr PC) const;
-  size_t findOrAllocate(Addr PC);
-
   DltConfig Config;
-  size_t NumSets = 0;
-  // Set-major SoA entry state: index = set * Assoc + way.
-  std::vector<Addr> TagsArr;
-  std::vector<uint8_t> ValidArr;
-  std::vector<Payload> Payloads;
+  LruTable<Addr, Payload> Entries;
   DltStats Stats;
-  uint64_t UseClock = 0;
 };
 
 } // namespace trident

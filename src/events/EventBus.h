@@ -14,9 +14,9 @@
 /// Dispatch contract (load-bearing for bit-identical reproduction):
 ///
 ///  * Per kind, subscribers are invoked in subscription order. The
-///    Trident runtime relies on this to preserve the exact intra-commit
-///    ordering the old monolithic listener had (watch-table excursion
-///    tracking before profiler training).
+///    Trident runtime is one subscriber, subscribed first, and orders its
+///    own monitors in code (watch-table excursion tracking before
+///    profiler training).
 ///  * publish() is synchronous and reentrant: a subscriber may publish
 ///    further events (the runtime turns a Commit into a HotTrace event),
 ///    but must not subscribe/unsubscribe during a dispatch.

@@ -7,51 +7,31 @@
 #include "mem/Tlb.h"
 #include "support/Check.h"
 
-
 using namespace trident;
 
 static bool isPowerOfTwo(uint64_t X) { return X && (X & (X - 1)) == 0; }
 
-Tlb::Tlb(const TlbConfig &Cfg)
-    : Config(Cfg), NumSets(Config.NumEntries / Config.Assoc) {
-  TRIDENT_CHECK(Config.Assoc >= 1 && Config.NumEntries % Config.Assoc == 0,
+/// \p C, once it is known to build a TLB.
+static const TlbConfig &validated(const TlbConfig &C) {
+  TRIDENT_CHECK(C.Assoc >= 1 && C.NumEntries % C.Assoc == 0,
                 "%u entries must divide evenly into %u-way sets",
-                Config.NumEntries, Config.Assoc);
-  TRIDENT_CHECK(isPowerOfTwo(NumSets), "set count %zu must be a power of two",
-                NumSets);
-  Entries.resize(Config.NumEntries);
+                C.NumEntries, C.Assoc);
+  TRIDENT_CHECK(isPowerOfTwo(C.NumEntries / C.Assoc),
+                "set count %u must be a power of two",
+                C.NumEntries / C.Assoc);
+  return C;
 }
+
+Tlb::Tlb(const TlbConfig &Cfg)
+    : Config(validated(Cfg)),
+      Entries(Config.NumEntries / Config.Assoc, Config.Assoc) {}
 
 bool Tlb::access(Addr ByteAddr) {
   ++Stats.Lookups;
-  uint64_t Vpn = vpnOf(ByteAddr);
-  size_t Base = setIndex(Vpn) * Config.Assoc;
-  Entry *Victim = &Entries[Base];
-  for (unsigned W = 0; W < Config.Assoc; ++W) {
-    Entry &E = Entries[Base + W];
-    if (E.Valid && E.Vpn == Vpn) {
-      E.LastUse = ++UseClock;
-      return true;
-    }
-    if (!E.Valid)
-      Victim = &E;
-    else if (Victim->Valid && E.LastUse < Victim->LastUse)
-      Victim = &E;
-  }
+  const uint64_t Vpn = vpnOf(ByteAddr);
+  if (Entries.touch(Vpn))
+    return true;
   ++Stats.Misses;
-  Victim->Valid = true;
-  Victim->Vpn = Vpn;
-  Victim->LastUse = ++UseClock;
-  return false;
-}
-
-bool Tlb::present(Addr ByteAddr) const {
-  uint64_t Vpn = vpnOf(ByteAddr);
-  size_t Base = setIndex(Vpn) * Config.Assoc;
-  for (unsigned W = 0; W < Config.Assoc; ++W) {
-    const Entry &E = Entries[Base + W];
-    if (E.Valid && E.Vpn == Vpn)
-      return true;
-  }
+  Entries.insert(Vpn);
   return false;
 }

@@ -26,11 +26,10 @@
 
 #include "isa/Instruction.h"
 #include "support/Fields.h"
+#include "support/LruTable.h"
 #include "support/Types.h"
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace trident {
 
@@ -76,27 +75,23 @@ public:
   bool access(Addr ByteAddr);
 
   /// Probe without side effects.
-  bool present(Addr ByteAddr) const;
+  bool present(Addr ByteAddr) const {
+    return Entries.find(vpnOf(ByteAddr)) != nullptr;
+  }
 
   const TlbConfig &config() const { return Config; }
   const TlbStats &stats() const { return Stats; }
   void noteDroppedPrefetch() { ++Stats.PrefetchesDropped; }
 
 private:
-  struct Entry {
-    bool Valid = false;
-    uint64_t Vpn = 0;
-    uint64_t LastUse = 0;
-  };
+  /// Translation is the identity map: an entry is only its page number.
+  struct NoPayload {};
 
   uint64_t vpnOf(Addr A) const { return A >> Config.PageBits; }
-  size_t setIndex(uint64_t Vpn) const { return Vpn & (NumSets - 1); }
 
   TlbConfig Config;
-  size_t NumSets;
-  std::vector<Entry> Entries;
+  LruTable<uint64_t, NoPayload> Entries;
   TlbStats Stats;
-  uint64_t UseClock = 0;
 };
 
 } // namespace trident

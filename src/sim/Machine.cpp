@@ -88,9 +88,10 @@ Machine::Machine(const Workload &Work, const SimConfig &Cfg,
   Core.setBranchPredictor(&Predictor);
 
   // The event bus: the core publishes its commit/load/branch stream into
-  // it; the Trident runtime's monitors and any observability sinks
-  // subscribe. Subscribe the runtime first — monitor dispatch order is
-  // load-bearing, the tracer is passive and rides behind.
+  // it; the Trident runtime and any observability sinks subscribe. The
+  // runtime is one subscriber that orders its monitors in code; it
+  // subscribes first, so every later subscriber sees an event after it,
+  // and the tracer is passive and rides behind.
   Core.setEventBus(&Bus);
   if (Config.EnableTrident) {
     RuntimeConfig RC = Config.Runtime;

@@ -7,54 +7,31 @@
 #include "trident/BranchProfiler.h"
 #include "support/Check.h"
 
-#include <cstring>
-
 using namespace trident;
 
-BranchProfiler::BranchProfiler(const BranchProfilerConfig &Cfg)
-    : Config(Cfg) {
-  TRIDENT_CHECK(Config.NumEntries % Config.Assoc == 0,
+/// \p C, once it is known to build a profiler.
+static const BranchProfilerConfig &validated(const BranchProfilerConfig &C) {
+  TRIDENT_CHECK(C.Assoc >= 1 && C.NumEntries % C.Assoc == 0,
                 "%u entries must divide evenly into %u-way sets",
-                Config.NumEntries, Config.Assoc);
-  TRIDENT_CHECK(Config.Rounds >= 1 && Config.Rounds <= 8,
-                "%u capture rounds outside 1..8", Config.Rounds);
-  TRIDENT_CHECK(Config.BitmapBits <= 16,
-                "bitmaps are 16 bits wide (asked for %u)", Config.BitmapBits);
-  Entries.resize(Config.NumEntries);
+                C.NumEntries, C.Assoc);
+  const unsigned Sets = C.NumEntries / C.Assoc;
+  TRIDENT_CHECK(Sets != 0 && (Sets & (Sets - 1)) == 0,
+                "set count %u must be a power of two", Sets);
+  TRIDENT_CHECK(C.Rounds >= 1 && C.Rounds <= 8,
+                "%u capture rounds outside 1..8", C.Rounds);
+  TRIDENT_CHECK(C.BitmapBits <= 16,
+                "bitmaps are 16 bits wide (asked for %u)", C.BitmapBits);
+  return C;
 }
 
-uint64_t BranchProfiler::estimatedBits(const BranchProfilerConfig &Config) {
-  // Tag (48b) + 4-bit counter per entry, plus the capture unit's three
-  // 16-bit bitmaps and a start-PC register.
-  return static_cast<uint64_t>(Config.NumEntries) * (48 + 4) + 3 * 16 + 48;
-}
-
-BranchProfiler::Entry *BranchProfiler::findOrAllocate(Addr PC) {
-  size_t NumSets = Entries.size() / Config.Assoc;
-  size_t Base = (PC % NumSets) * Config.Assoc;
-  Entry *Victim = &Entries[Base];
-  for (unsigned W = 0; W < Config.Assoc; ++W) {
-    Entry &E = Entries[Base + W];
-    if (E.Valid && E.Tag == PC) {
-      E.LastUse = ++UseClock;
-      return &E;
-    }
-    if (!E.Valid)
-      Victim = &E;
-    else if (Victim->Valid && E.LastUse < Victim->LastUse)
-      Victim = &E;
-  }
-  *Victim = Entry();
-  Victim->Valid = true;
-  Victim->Tag = PC;
-  Victim->LastUse = ++UseClock;
-  return Victim;
-}
+BranchProfiler::BranchProfiler(const BranchProfilerConfig &Cfg)
+    : Config(validated(Cfg)),
+      Counters(Config.NumEntries / Config.Assoc, Config.Assoc) {}
 
 void BranchProfiler::abortCapture() {
   // Let the loop retry later: decay the counter rather than zeroing it.
-  Entry *E = findOrAllocate(Cap.StartPC);
-  E->Count.reset(E->Count.max() / 2);
+  FourBitCounter &C = counterOf(Cap.StartPC);
+  C.reset(C.max() / 2);
   Cap = CaptureState();
 }
 
@@ -100,8 +77,7 @@ std::optional<HotTraceCandidate> BranchProfiler::onCommit(Addr PC) {
     C.StartPC = Cap.StartPC;
     C.Bitmap = Cap.RoundBits[0];
     C.NumBranches = Cap.RoundLens[0];
-    Entry *E = findOrAllocate(Cap.StartPC);
-    E->Count.reset();
+    counterOf(Cap.StartPC).reset();
     Cap = CaptureState();
     return C;
   }
@@ -119,8 +95,7 @@ void BranchProfiler::onBranch(Addr PC, bool Conditional, bool Taken,
   if (Cap.Recording && Conditional) {
     if (Cap.NumBits >= Config.BitmapBits) {
       // Path too long for the capture hardware: give up on this loop.
-      Entry *E = findOrAllocate(Cap.StartPC);
-      E->Count.reset();
+      counterOf(Cap.StartPC).reset();
       Cap = CaptureState();
     } else {
       if (Taken)
@@ -134,9 +109,9 @@ void BranchProfiler::onBranch(Addr PC, bool Conditional, bool Taken,
     return;
   if (Suppressed.count(Target))
     return;
-  Entry *E = findOrAllocate(Target);
-  E->Count.increment();
-  if (E->Count.isSaturated() && !Cap.Armed && !Cap.Recording) {
+  FourBitCounter &C = counterOf(Target);
+  C.increment();
+  if (C.isSaturated() && !Cap.Armed && !Cap.Recording) {
     Cap.Armed = true;
     Cap.StartPC = Target;
   }

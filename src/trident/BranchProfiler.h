@@ -22,12 +22,12 @@
 #include "events/HardwareEvent.h"
 #include "isa/Instruction.h"
 #include "support/Fields.h"
+#include "support/LruTable.h"
 #include "support/SaturatingCounter.h"
 
 #include <cstdint>
 #include <optional>
 #include <unordered_set>
-#include <vector>
 
 namespace trident {
 
@@ -77,17 +77,7 @@ public:
   const BranchProfilerConfig &config() const { return Config; }
   bool captureInProgress() const { return Cap.Armed || Cap.Recording; }
 
-  /// SRAM estimate for the Section 5.4 comparison.
-  static uint64_t estimatedBits(const BranchProfilerConfig &Config);
-
 private:
-  struct Entry {
-    bool Valid = false;
-    Addr Tag = 0;
-    FourBitCounter Count;
-    uint64_t LastUse = 0;
-  };
-
   struct CaptureState {
     bool Armed = false;     ///< Waiting for StartPC to commit.
     bool Recording = false; ///< Between StartPC commits.
@@ -100,14 +90,16 @@ private:
     uint8_t RoundLens[8] = {};
   };
 
-  Entry *findOrAllocate(Addr PC);
+  /// The execution counter of loop head \p PC, allocated if absent.
+  FourBitCounter &counterOf(Addr PC) {
+    return Counters.touchOrInsert(PC).Value;
+  }
   void abortCapture();
 
   BranchProfilerConfig Config;
-  std::vector<Entry> Entries;
+  LruTable<Addr, FourBitCounter> Counters;
   CaptureState Cap;
   std::unordered_set<Addr> Suppressed;
-  uint64_t UseClock = 0;
 };
 
 } // namespace trident

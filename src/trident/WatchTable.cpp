@@ -7,84 +7,41 @@
 #include "trident/WatchTable.h"
 #include "support/Check.h"
 
+#include <optional>
 
 using namespace trident;
 
-WatchTable::WatchTable(unsigned NumEntries) {
+/// \p NumEntries, once it is known to be a plausible table size.
+static unsigned validated(unsigned NumEntries) {
   TRIDENT_CHECK(NumEntries > 0, "watch table needs at least one entry");
   TRIDENT_CHECK(NumEntries <= 1u << 20,
                 "watch table size %u is implausible for an SRAM structure",
                 NumEntries);
-  Entries.resize(NumEntries);
-  ValidKeys.assign(NumEntries, 0);
-  TraceIdKeys.assign(NumEntries, 0);
-  OrigStartKeys.assign(NumEntries, 0);
-  LastTouch.assign(NumEntries, 0);
+  return NumEntries;
 }
+
+WatchTable::WatchTable(unsigned NumEntries)
+    : Entries(/*Sets=*/1, validated(NumEntries)) {}
 
 bool WatchTable::insert(uint32_t TraceId, Addr OrigStart, Addr TraceStart,
                         unsigned Length) {
-  if (find(TraceId))
+  if (Entries.touch(TraceId))
     return false;
-  size_t VictimIdx = 0;
-  for (size_t I = 0; I < Entries.size(); ++I) {
-    if (!ValidKeys[I]) {
-      VictimIdx = I;
-      break;
-    }
-    if (LastTouch[I] < LastTouch[VictimIdx])
-      VictimIdx = I;
-  }
-  // Capacity bound: replacement always lands inside the fixed-size table;
-  // occupancy can never exceed the configured entry count.
-  TRIDENT_DCHECK(VictimIdx < Entries.size(),
-                 "watch-table victim slot %zu outside table of %zu",
-                 VictimIdx, Entries.size());
-  WatchEntry &E = Entries[VictimIdx];
-  E = WatchEntry();
-  E.Valid = true;
+  WatchEntry &E = Entries.insert(TraceId).Value;
   E.TraceId = TraceId;
   E.OrigStart = OrigStart;
   E.TraceStart = TraceStart;
   E.Length = Length;
-  ValidKeys[VictimIdx] = 1;
-  TraceIdKeys[VictimIdx] = TraceId;
-  OrigStartKeys[VictimIdx] = OrigStart;
-  LastTouch[VictimIdx] = ++TouchClock;
   return true;
 }
 
-void WatchTable::remove(uint32_t TraceId) {
-  for (size_t I = 0; I < Entries.size(); ++I) {
-    if (ValidKeys[I] && TraceIdKeys[I] == TraceId) {
-      ValidKeys[I] = 0;
-      Entries[I].Valid = false;
-    }
-  }
-}
-
-WatchEntry *WatchTable::find(uint32_t TraceId) {
-  for (size_t I = 0; I < Entries.size(); ++I) {
-    if (ValidKeys[I] && TraceIdKeys[I] == TraceId) {
-      LastTouch[I] = ++TouchClock;
-      return &Entries[I];
-    }
-  }
-  return nullptr;
-}
-
-const WatchEntry *WatchTable::find(uint32_t TraceId) const {
-  return const_cast<WatchTable *>(this)->find(TraceId);
-}
-
 WatchEntry *WatchTable::findByOrigStart(Addr OrigStart) {
-  for (size_t I = 0; I < Entries.size(); ++I) {
-    if (ValidKeys[I] && OrigStartKeys[I] == OrigStart) {
-      LastTouch[I] = ++TouchClock;
-      return &Entries[I];
-    }
-  }
-  return nullptr;
+  std::optional<uint32_t> Id;
+  Entries.forEach([&](uint32_t TraceId, const WatchEntry &E) {
+    if (!Id && E.OrigStart == OrigStart)
+      Id = TraceId;
+  });
+  return Id ? find(*Id) : nullptr;
 }
 
 void WatchTable::recordIteration(uint32_t TraceId, Cycle IterTime) {
@@ -103,28 +60,4 @@ void WatchTable::recordIteration(uint32_t TraceId, Cycle IterTime) {
                  TraceId, (unsigned long long)E->MinExecTime,
                  (unsigned long long)E->IterTimeSum,
                  (unsigned long long)E->IterCount);
-}
-
-unsigned WatchTable::invalidateAll() {
-  unsigned N = 0;
-  for (size_t I = 0; I < Entries.size(); ++I) {
-    if (ValidKeys[I]) {
-      ValidKeys[I] = 0;
-      Entries[I].Valid = false;
-      ++N;
-    }
-  }
-  return N;
-}
-
-unsigned WatchTable::size() const {
-  unsigned N = 0;
-  for (uint8_t V : ValidKeys)
-    N += V;
-  return N;
-}
-
-uint64_t WatchTable::estimatedBits(unsigned NumEntries) {
-  // Start PC (48b) + length (12b) + min exec time (24b) + flags (2b).
-  return static_cast<uint64_t>(NumEntries) * (48 + 12 + 24 + 2);
 }

@@ -21,15 +21,14 @@
 #define TRIDENT_TRIDENT_WATCHTABLE_H
 
 #include "isa/Instruction.h"
+#include "support/LruTable.h"
 #include "support/Types.h"
 
 #include <cstdint>
-#include <vector>
 
 namespace trident {
 
 struct WatchEntry {
-  bool Valid = false;
   uint32_t TraceId = 0;
   Addr OrigStart = 0;  ///< Loop-head PC in the original binary.
   Addr TraceStart = 0; ///< Code-cache address of the trace body.
@@ -50,20 +49,22 @@ struct WatchEntry {
   }
 };
 
+/// One fully associative set of LRU-replaced entries keyed by trace id.
 class WatchTable {
 public:
   explicit WatchTable(unsigned NumEntries = 256);
 
-  /// Registers a linked trace; evicts the least-recently-updated entry if
-  /// full. Returns false if an entry for the same TraceId already exists.
+  /// Registers a linked trace; evicts the least recently used entry if
+  /// full. Returns false, and only touches the entry, if one for the same
+  /// TraceId already exists.
   bool insert(uint32_t TraceId, Addr OrigStart, Addr TraceStart,
               unsigned Length);
 
   /// Removes the entry for \p TraceId (trace unlinked/replaced).
-  void remove(uint32_t TraceId);
+  void remove(uint32_t TraceId) { Entries.erase(TraceId); }
 
-  WatchEntry *find(uint32_t TraceId);
-  const WatchEntry *find(uint32_t TraceId) const;
+  /// The entry for \p TraceId, made the most recently used, or null.
+  WatchEntry *find(uint32_t TraceId) { return Entries.touch(TraceId); }
 
   /// Finds the entry whose *original* start PC is \p OrigStart.
   WatchEntry *findByOrigStart(Addr OrigStart);
@@ -71,32 +72,19 @@ public:
   /// Records one observed head-to-head iteration of \p TraceId.
   void recordIteration(uint32_t TraceId, Cycle IterTime);
 
-  unsigned size() const;
-  unsigned capacity() const { return static_cast<unsigned>(Entries.size()); }
+  unsigned size() const { return static_cast<unsigned>(Entries.size()); }
+  unsigned capacity() const {
+    return static_cast<unsigned>(Entries.capacity());
+  }
 
   /// Invalidates every entry (fault-injection hook, src/faults). The
   /// runtime tolerates missing watch entries everywhere — timing simply
   /// re-accumulates — so eviction models an SRAM upset safely. Returns
   /// the number of valid entries cleared.
-  unsigned invalidateAll();
-
-  /// Total SRAM bits this structure would occupy (the Section 5.4
-  /// "spend it on a bigger L1 instead" comparison).
-  static uint64_t estimatedBits(unsigned NumEntries);
+  unsigned invalidateAll() { return static_cast<unsigned>(Entries.clear()); }
 
 private:
-  std::vector<WatchEntry> Entries;
-  // Packed lookup keys mirroring Entries: find()/findByOrigStart() run a
-  // linear scan per monitored commit, so the keys live in contiguous
-  // arrays instead of striding over the fat WatchEntry records. Only
-  // insert/remove/invalidateAll mutate validity or keys, which keeps the
-  // mirrors in sync (callers mutate payload fields through find()'s
-  // pointer but never the keys).
-  std::vector<uint8_t> ValidKeys;
-  std::vector<uint32_t> TraceIdKeys;
-  std::vector<Addr> OrigStartKeys;
-  std::vector<uint64_t> LastTouch;
-  uint64_t TouchClock = 0;
+  LruTable<uint32_t, WatchEntry> Entries;
 };
 
 } // namespace trident

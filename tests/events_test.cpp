@@ -10,9 +10,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/TridentRuntime.h"
 #include "events/EventBus.h"
 #include "events/EventQueue.h"
 #include "events/EventTracer.h"
+#include "isa/ProgramBuilder.h"
+#include "mem/DataMemory.h"
+#include "mem/MemorySystem.h"
 #include "support/StatRegistry.h"
 #include "sim/Simulation.h"
 #include "workloads/Workloads.h"
@@ -148,6 +152,29 @@ TEST(EventBus, MaskFilteringAndActiveUnion) {
   EXPECT_EQ(Bus.published(EventKind::TraceEntry), 0u);
   EXPECT_EQ(Bus.numSubscribers(EventKind::Commit), 1u);
   EXPECT_EQ(Bus.numSubscribers(EventKind::Branch), 0u);
+}
+
+TEST(EventBus, RuntimeIsOneSubscriberPerMonitoredKind) {
+  // The runtime subscribes once and orders its monitors in code.
+  ProgramBuilder PB;
+  PB.halt();
+  Program Prog = PB.finish();
+  DataMemory Data;
+  MemorySystem Mem(MemSystemConfig::baseline());
+  CodeCache CC;
+  CodeImage Image(Prog, CC);
+  SmtCore Core(CoreConfig::baseline(), Image, Data, Mem);
+  TridentRuntime Runtime(RuntimeConfig::baseline(), Prog, Core, CC);
+  EventBus Bus;
+  Runtime.attach(Bus);
+  const EventKind Monitored[] = {EventKind::Commit, EventKind::Branch,
+                                 EventKind::LoadOutcome};
+  EventKindMask Mask = 0;
+  for (EventKind K : Monitored) {
+    EXPECT_EQ(Bus.numSubscribers(K), 1u) << eventKindName(K);
+    Mask |= eventMaskOf(K);
+  }
+  EXPECT_EQ(Bus.activeMask(), Mask);
 }
 
 //===----------------------------------------------------------------------===//
