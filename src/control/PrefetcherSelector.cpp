@@ -12,64 +12,70 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 #include <vector>
 
 using namespace trident;
 
-const char *trident::selectorPolicyName(SelectorPolicy P) {
-  switch (P) {
-  case SelectorPolicy::Static:
-    return "static";
-  case SelectorPolicy::Bandit:
-    return "bandit";
-  case SelectorPolicy::Oracle:
-    return "oracle";
-  }
-  return "<bad>";
-}
-
 namespace {
 
-/// Each policy's knob vocabulary, in the order the unknown-knob text lists
-/// them: the bandit owns the learning knobs, the oracle only shapes the
-/// epoch clock, and static takes nothing.
-struct PolicyKnobs {
+/// Every policy in enum order, with its name and its knob vocabulary: the
+/// bandit owns the learning knobs, the oracle only shapes the epoch clock,
+/// and static takes nothing.
+struct PolicyRow {
   SelectorPolicy Policy;
+  const char *Name;
   std::vector<std::string> Knobs;
 };
 
-const std::vector<PolicyKnobs> &policyKnobs() {
-  static const std::vector<PolicyKnobs> Table = {
-      {SelectorPolicy::Bandit,
+const std::vector<PolicyRow> &policies() {
+  static const std::vector<PolicyRow> Table = {
+      {SelectorPolicy::Static, "static", {}},
+      {SelectorPolicy::Bandit, "bandit",
        {"epoch", "interval", "seed", "eps", "ucb", "ema"}},
-      {SelectorPolicy::Oracle, {"epoch", "interval"}},
-      {SelectorPolicy::Static, {}},
+      {SelectorPolicy::Oracle, "oracle", {"epoch", "interval"}},
   };
   return Table;
 }
 
-const std::vector<std::string> &knobsOf(SelectorPolicy Policy) {
-  for (const PolicyKnobs &P : policyKnobs())
-    if (P.Policy == Policy)
-      return P.Knobs;
-  TRIDENT_UNREACHABLE("policy missing from the knob table");
+/// "static, bandit, oracle": every policy in enum order.
+std::string policyNames() {
+  std::string Text;
+  for (const PolicyRow &P : policies())
+    Text += (Text.empty() ? "" : ", ") + std::string(P.Name);
+  return Text;
 }
 
-/// "bandit: epoch, ...; oracle: ...; static: none".
+/// "bandit: epoch, ...; oracle: ...; static: none": every policy's knobs,
+/// policies in name order.
 std::string knobVocabulary() {
+  std::vector<const PolicyRow *> ByName;
+  for (const PolicyRow &P : policies())
+    ByName.push_back(&P);
+  std::sort(ByName.begin(), ByName.end(),
+            [](const PolicyRow *A, const PolicyRow *B) {
+              return std::string_view(A->Name) < B->Name;
+            });
   std::string Text;
-  for (const PolicyKnobs &P : policyKnobs()) {
+  for (const PolicyRow *P : ByName) {
     Text += Text.empty() ? "" : "; ";
-    Text += selectorPolicyName(P.Policy);
+    Text += P->Name;
     Text += ": ";
-    for (size_t I = 0; I < P.Knobs.size(); ++I)
-      Text += (I ? ", " : "") + P.Knobs[I];
-    Text += P.Knobs.empty() ? "none" : "";
+    for (size_t I = 0; I < P->Knobs.size(); ++I)
+      Text += (I ? ", " : "") + P->Knobs[I];
+    Text += P->Knobs.empty() ? "none" : "";
   }
   return Text;
 }
 
 } // namespace
+
+const char *trident::selectorPolicyName(SelectorPolicy P) {
+  for (const PolicyRow &R : policies())
+    if (R.Policy == P)
+      return R.Name;
+  return "<bad>";
+}
 
 bool SelectorConfig::parse(const std::string &Spec, SelectorConfig &Out,
                            std::string *Error) {
@@ -79,19 +85,17 @@ bool SelectorConfig::parse(const std::string &Spec, SelectorConfig &Out,
   PrefetcherSpec S;
   if (!PrefetcherSpec::parse(Spec, S, Error))
     return false;
-  if (S.Name == "static")
-    Out.Policy = SelectorPolicy::Static;
-  else if (S.Name == "bandit")
-    Out.Policy = SelectorPolicy::Bandit;
-  else if (S.Name == "oracle")
-    Out.Policy = SelectorPolicy::Oracle;
-  else {
+  const std::vector<PolicyRow> &All = policies();
+  auto Row = std::find_if(All.begin(), All.end(),
+                          [&](const PolicyRow &P) { return S.Name == P.Name; });
+  if (Row == All.end()) {
     if (Error)
-      *Error = "unknown selector policy '" + S.Name +
-               "' (policies: static, bandit, oracle)";
+      *Error = "unknown selector policy '" + S.Name + "' (policies: " +
+               policyNames() + ")";
     return false;
   }
-  const std::vector<std::string> &Allowed = knobsOf(Out.Policy);
+  Out.Policy = Row->Policy;
+  const std::vector<std::string> &Allowed = Row->Knobs;
   for (const auto &K : S.Knobs) {
     if (std::find(Allowed.begin(), Allowed.end(), K.first) == Allowed.end()) {
       if (Error)
