@@ -9,7 +9,7 @@ one per line, as:
     <rule-id> <repo-relative-path>
 
 (an empty or absent expected.txt means the fixture must analyze clean).
-The runner executes the engine with --root <case> --no-cache and compares
+The runner executes the engine with --root <case> and compares
 the *set* of (rule, file) pairs — line numbers and message wording are
 free to evolve; the rule firing (or staying silent) is the contract.
 
@@ -63,7 +63,7 @@ def run_case(case: Path) -> list:
                 continue
             rule, rel = raw.split()
             expected.add((rule, rel))
-    rc, stdout, crash = run_engine(["--root", str(case), "--no-cache"])
+    rc, stdout, crash = run_engine(["--root", str(case)])
     if crash:
         return [f"engine crashed: {crash.strip()[-400:]}"]
     actual = set()

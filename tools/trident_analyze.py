@@ -64,17 +64,16 @@ spelling of `trident-analyze:`):
 Outputs: human text (path:line: [rule] message) and SARIF 2.1 (--sarif).
 A suppression baseline (--baseline, default tools/analysis_baseline.json)
 holds fingerprints of accepted findings; --write-baseline regenerates it.
-Per-file results are memoized in a content-hash-keyed cache so a clean
-re-run only re-lexes changed files; --diff BASE restricts *reported*
-findings to files changed since BASE (project-wide passes still run on
-the whole tree, so a layering break introduced by an unchanged file's
-changed neighbor is still caught).
+Every run analyzes the whole tree from scratch (about a second); --diff
+BASE restricts *reported* findings to files changed since BASE
+(project-wide passes still run on the whole tree, so a layering break
+introduced by an unchanged file's changed neighbor is still caught).
 
 Usage:
   tools/trident_analyze.py [--root DIR] [paths...]
       [--rules r1,r2,... | --rules legacy] [--list-rules]
       [--sarif OUT.sarif] [--baseline FILE] [--write-baseline]
-      [--diff [BASE]] [--no-cache] [--cache FILE] [-q]
+      [--diff [BASE]] [-q]
 
 Exits 0 when clean, 1 on findings, 2 on configuration errors.
 """
@@ -91,8 +90,6 @@ import sys
 from pathlib import Path
 
 ENGINE_VERSION = "1.0.0"
-# Bump to invalidate the incremental cache when rule logic changes.
-RULES_VERSION = "2026-08-07a"
 
 CPP_SUFFIXES = {".cpp", ".h", ".hpp", ".cc"}
 
@@ -207,7 +204,6 @@ class FileModel:
     def __init__(self, path: Path, rel: str, root: Path):
         self.path, self.rel = path, rel
         self.text = path.read_text(encoding="utf-8", errors="replace")
-        self.sha = hashlib.sha256(self.text.encode()).hexdigest()
         self.stripped = strip_comments_and_strings(self.text)
         self.raw_lines = self.text.splitlines()
         self.lines = self.stripped.splitlines()
@@ -344,15 +340,6 @@ class Finding:
         h.update(b"|")
         h.update(self.message[:48].encode())
         return h.hexdigest()[:16]
-
-    def to_dict(self):
-        return {"rule": self.rule, "rel": self.rel, "line": self.line,
-                "message": self.message, "context": self.context}
-
-    @staticmethod
-    def from_dict(d):
-        return Finding(d["rule"], d["rel"], d["line"], d["message"],
-                       d.get("context", ""))
 
 
 #===----------------------------------------------------------------------===#
@@ -1054,7 +1041,7 @@ def to_sarif(findings: list, root: Path) -> dict:
 
 
 #===----------------------------------------------------------------------===#
-# Scope selection, cache, baseline, diff
+# Scope selection, baseline, diff
 #===----------------------------------------------------------------------===#
 
 
@@ -1108,55 +1095,6 @@ def resolve_diff_base(root: Path, base: str) -> str:
     return "HEAD"
 
 
-class Cache:
-    def __init__(self, path: Path, enabled: bool):
-        self.path, self.enabled = path, enabled
-        self.store = {}
-        self.dirty = False
-        if enabled and path.is_file():
-            try:
-                doc = json.loads(path.read_text())
-                if doc.get("version") == RULES_VERSION:
-                    self.store = doc.get("files", {})
-            except (json.JSONDecodeError, OSError):
-                pass
-
-    def key(self, fm: FileModel, ctx: AnalysisContext) -> str:
-        """File content plus everything per-file rules consult across file
-        boundaries: directly included src headers (symbol import for D1)
-        and the header/source sibling (C1 annotations)."""
-        h = hashlib.sha256(fm.sha.encode())
-        for _, target in fm.includes:
-            dep = ctx.files.get("src/" + target)
-            if dep is not None:
-                h.update(dep.sha.encode())
-        sib = ctx.sibling(fm)
-        if sib is not None:
-            h.update(sib.sha.encode())
-        return h.hexdigest()
-
-    def get(self, rel: str, key: str):
-        ent = self.store.get(rel)
-        if ent and ent.get("key") == key:
-            return [Finding.from_dict(d) for d in ent["findings"]]
-        return None
-
-    def put(self, rel: str, key: str, findings: list):
-        self.store[rel] = {"key": key,
-                           "findings": [f.to_dict() for f in findings]}
-        self.dirty = True
-
-    def save(self):
-        if not (self.enabled and self.dirty):
-            return
-        try:
-            self.path.write_text(json.dumps(
-                {"version": RULES_VERSION, "files": self.store},
-                sort_keys=True))
-        except OSError:
-            pass
-
-
 #===----------------------------------------------------------------------===#
 # Driver
 #===----------------------------------------------------------------------===#
@@ -1186,8 +1124,6 @@ def main(argv: list[str] | None = None) -> int:
                     metavar="BASE",
                     help="report only findings in files changed since BASE "
                          "(default: merge-base with main)")
-    ap.add_argument("--no-cache", action="store_true")
-    ap.add_argument("--cache", default=None, metavar="FILE")
     ap.add_argument("-q", "--quiet", action="store_true")
     args = ap.parse_args(argv)
 
@@ -1231,38 +1167,22 @@ def main(argv: list[str] | None = None) -> int:
                           quiet=args.quiet)
     ctx.harness_files = harness
 
-    cache_path = (Path(args.cache) if args.cache
-                  else root / ".trident-analyze-cache.json")
-    cache = Cache(cache_path, enabled=not args.no_cache)
-
     # ---- run per-file rules ------------------------------------------------
     findings: list[Finding] = []
     checked = 0
-    cache_hits = 0
     for rel in sorted(list(files) + list(harness)):
         hw = rel in files
         fm = files[rel] if hw else harness[rel]
         checked += 1
-        key = cache.key(fm, ctx) + ("|hw" if hw else "|harness") + \
-            "|" + ",".join(sorted(enabled & {r[0] for r in FILE_RULES}))
-        cached = cache.get(rel, key)
-        if cached is not None:
-            findings.extend(cached)
-            cache_hits += 1
-            continue
-        file_findings = []
         for rid, _legacy, _desc, fn, hw_only in FILE_RULES:
             if rid not in enabled or (hw_only and not hw):
                 continue
-            file_findings.extend(fn(fm, ctx))
-        cache.put(rel, key, file_findings)
-        findings.extend(file_findings)
+            findings.extend(fn(fm, ctx))
 
     # ---- run project rules -------------------------------------------------
     for rid, _legacy, _desc, fn in PROJECT_RULES:
         if rid in enabled:
             findings.extend(fn(ctx))
-    cache.save()
 
     findings.sort(key=lambda f: (f.rel, f.line, f.rule, f.message))
 
@@ -1315,8 +1235,6 @@ def main(argv: list[str] | None = None) -> int:
             json.dumps(to_sarif(findings, root), indent=2) + "\n")
     if not args.quiet:
         extra = f", {suppressed} baseline-suppressed" if suppressed else ""
-        extra += (f", {cache_hits}/{checked} cached"
-                  if cache_hits else "")
         print(f"trident-analyze: {checked} files checked, "
               f"{len(findings)} finding(s){extra}", file=sys.stderr)
     return 1 if findings else 0
