@@ -5,14 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the per-figure benchmark binaries: instruction-budget
-/// env knobs, the shared parallel batch runner, and table assembly. Every
-/// figure binary builds its full (workload, config) job list up front,
-/// hands it to the process-wide ExperimentRunner — which fans the
-/// independent runs across worker threads and memoizes shared
-/// configurations such as the hw baseline — and then assembles the same
-/// rows/series the paper reports, plus a short "paper says / we measure"
-/// note.
+/// Helpers shared by the figure harnesses (`figures`, fig9-fig11):
+/// instruction-budget env knobs, the shared parallel batch runner, and
+/// table assembly. Each figure builds its full (workload, config) job list
+/// up front, hands it to the process-wide ExperimentRunner — which fans the
+/// independent runs across worker threads and memoizes every result, so a
+/// cell an earlier figure in the same process ran is not simulated again —
+/// and then assembles the same rows/series the paper reports, plus a short
+/// "paper says / we measure" note.
 ///
 /// Environment knobs:
 ///   TRIDENT_BENCH_INSTR  per-run committed-instruction budget
@@ -126,9 +126,10 @@ inline SimConfig withBudget(SimConfig C) {
   return C;
 }
 
-/// The batch runner every figure binary shares: all hardware threads (or
-/// $TRIDENT_BENCH_JOBS) plus the process-wide memo cache, so repeated
-/// configurations — above all the hw baseline — simulate exactly once.
+/// The batch runner every figure shares: all hardware threads (or
+/// $TRIDENT_BENCH_JOBS) plus the process-wide memo cache, so a
+/// configuration repeated within one process — above all the hw baseline —
+/// simulates exactly once.
 inline ExperimentRunner &runner() {
   static ExperimentRunner R;
   return R;
@@ -146,12 +147,6 @@ runBatch(const std::vector<NamedJob> &Named) {
   for (const NamedJob &J : Named)
     Jobs.push_back(ExperimentJob{makeWorkload(J.first), withBudget(J.second)});
   return runner().runBatch(Jobs);
-}
-
-/// Runs one workload under one configuration with the standard budget
-/// (through the shared runner, so the memo cache still applies).
-inline SimResult run(const std::string &Name, SimConfig C) {
-  return *runner().run(makeWorkload(Name), withBudget(C));
 }
 
 /// Percent-speedup string of A over Base.

@@ -54,7 +54,6 @@ int main() {
   }
 
   // One flat batch: workload-major, then Trident off/on, then prefetcher.
-  // The shared memo-cache dedups the overlap with other figures' jobs.
   std::vector<NamedJob> Jobs;
   for (const std::string &Name : Loads) {
     for (int Trident = 0; Trident < 2; ++Trident) {

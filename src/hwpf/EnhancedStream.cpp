@@ -22,7 +22,7 @@ std::string EnhancedStreamConfig::invalidReason() const {
 
 EnhancedStreamPrefetcher::EnhancedStreamPrefetcher(
     const EnhancedStreamConfig &Cfg)
-    : Config(checkedConfig(Cfg)), Trainers(Config.NumTrainingEntries),
+    : Config(checkedConfig(Cfg)), Trainers(1, Config.NumTrainingEntries),
       Streams(Config.NumStreams), Buffer(Config.NumStreams * Config.Depth) {}
 
 std::string EnhancedStreamPrefetcher::name() const {
@@ -82,7 +82,7 @@ EnhancedStreamPrefetcher::StreamEntry *EnhancedStreamPrefetcher::streamVictim() 
   return Lru;
 }
 
-void EnhancedStreamPrefetcher::confirmStream(const TrainingEntry &T, Cycle Now,
+void EnhancedStreamPrefetcher::confirmStream(const Trainer &T, Cycle Now,
                                              MemoryBackend &BE) {
   StreamEntry *S = streamVictim();
   S->Valid = true;
@@ -98,30 +98,14 @@ void EnhancedStreamPrefetcher::confirmStream(const TrainingEntry &T, Cycle Now,
 void EnhancedStreamPrefetcher::trainRegion(uint64_t Block, Cycle Now,
                                            MemoryBackend &BE) {
   const uint64_t RegionBase = Block - Block % Config.RegionLines;
-  TrainingEntry *T = nullptr;
-  TrainingEntry *Victim = &Trainers[0];
-  for (TrainingEntry &E : Trainers) {
-    if (E.Valid && E.RegionBase == RegionBase) {
-      T = &E;
-      break;
-    }
-    // Victim preference: any free slot, else the LRU trainer.
-    if (Victim->Valid && (!E.Valid || E.LastUse < Victim->LastUse))
-      Victim = &E;
-  }
+  Trainer *T = Trainers.touch(RegionBase);
   if (!T) {
-    // New region under training.
-    T = Victim;
-    T->Valid = true;
-    T->RegionBase = RegionBase;
-    T->LastBlock = Block;
-    T->MissCount = 1;
-    T->Direction = 0;
-    T->Stride = 0;
-    T->LastUse = TrainClock;
+    // New region under training, over a free trainer or else the LRU one.
+    Trainer &New = Trainers.insert(RegionBase).Value;
+    New.LastBlock = Block;
+    New.MissCount = 1;
     return;
   }
-  T->LastUse = TrainClock;
   int64_t Delta =
       static_cast<int64_t>(Block) - static_cast<int64_t>(T->LastBlock);
   if (Delta == 0)
@@ -144,7 +128,7 @@ void EnhancedStreamPrefetcher::trainRegion(uint64_t Block, Cycle Now,
   }
   if (T->MissCount >= Config.ConfirmMisses) {
     confirmStream(*T, Now, BE);
-    T->Valid = false;
+    Trainers.erase(RegionBase);
   }
 }
 

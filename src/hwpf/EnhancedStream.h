@@ -22,6 +22,7 @@
 
 #include "hwpf/PrefetchBuffer.h"
 #include "hwpf/PrefetcherRegistry.h"
+#include "support/LruTable.h"
 
 #include <string>
 #include <vector>
@@ -101,15 +102,13 @@ public:
   unsigned numActiveStreams() const;
 
 private:
-  /// Trainer state for one region (pre-confirmation).
-  struct TrainingEntry {
-    bool Valid = false;
-    uint64_t RegionBase = 0; ///< region-aligned block number
+  /// Trainer state for one region (pre-confirmation), keyed by the
+  /// region-aligned block number.
+  struct Trainer {
     uint64_t LastBlock = 0;
     unsigned MissCount = 0;
     int Direction = 0;   ///< 0 = unknown, +1 / -1 once observed
     int64_t Stride = 0;  ///< blocks, magnitude >= 1
-    uint64_t LastUse = 0;
   };
 
   /// One confirmed, unidirectional stream.
@@ -122,13 +121,14 @@ private:
   };
 
   void trainRegion(uint64_t Block, Cycle Now, MemoryBackend &BE);
-  void confirmStream(const TrainingEntry &T, Cycle Now, MemoryBackend &BE);
+  void confirmStream(const Trainer &T, Cycle Now, MemoryBackend &BE);
   void advance(StreamEntry &S, unsigned Lines, Cycle Now, MemoryBackend &BE);
   StreamEntry *streamVictim();
 
   EnhancedStreamConfig Config;
-  /// Both tables are sized once from the config and never regrow.
-  std::vector<TrainingEntry> Trainers;
+  /// Both tables are sized once from the config and never regrow. The
+  /// trainers are one fully associative LRU set.
+  LruTable<uint64_t, Trainer> Trainers;
   std::vector<StreamEntry> Streams;
   PrefetchBuffer Buffer;
   /// Monotonic training-event counter (the paper's timestamp source).

@@ -16,8 +16,8 @@
 ///    large-stride streams (galgel-like column walks) hard for
 ///    hardware prefetching on real machines.
 ///
-/// Exposed as `MemSystemConfig::Tlb` and exercised by the
-/// ablation_adaptivity bench and the mem tests.
+/// Exposed as `MemSystemConfig::Tlb` (`trident_sim --tlb`) and exercised by
+/// the `tlb_mcf` identity row, mem_test and sim_test.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -20,8 +20,10 @@
 ///    with the TRIDENT_BENCH_JOBS environment variable.
 ///
 ///  * A process-wide memoized result cache keyed by (workload name,
-///    config fingerprint). The hardware-baseline runs shared by
-///    Figures 4/5/6/9 simulate exactly once per process; duplicate jobs
+///    config fingerprint). Later batches reuse a key's cached result:
+///    bench/figures runs Figures 2-8 and the ablations in one process and
+///    reads 493 results from 339 simulations, the hardware-baseline and
+///    default self-repairing cells among the shared ones. Duplicate jobs
 ///    inside one batch are also coalesced, so a batch may list the same
 ///    (workload, config) pair many times at the cost of one simulation.
 ///

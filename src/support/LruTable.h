@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The one bounded lookup table the DLT, the watch table, the branch
-/// profiler and the TLB are built on, in the shape of ChampSim's
-/// msl::lru_table: it owns the sets, the ways and the LRU order.
+/// profiler, the TLB and enhanced-stream's trainers are built on, in the
+/// shape of ChampSim's msl::lru_table: it owns the sets, the ways and the
+/// LRU order.
 ///
 /// Key K lives in set `K & (Sets - 1)`, so the set count is a power of
 /// two; Ways = 1 gives a direct-mapped table and Sets = 1 a fully

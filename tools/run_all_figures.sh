@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Builds the repo and runs every figure/ablation binary under
-# TRIDENT_BENCH_QUICK=1 (quarter instruction budget) — a CI-sized smoke of
+# Builds the repo and runs the figure binaries under TRIDENT_BENCH_QUICK=1
+# (quarter instruction budget) — `figures` (Figures 2-8 and the ablations
+# in one process), fig9_hw_vs_sw and fig10_selector: a CI-sized smoke of
 # the full experimental methodology. Fails if any binary fails.
 #
 # Usage: tools/run_all_figures.sh [build-dir] [--hwpf LIST]
@@ -33,18 +34,7 @@ cmake --build "$BUILD_DIR" -j
 
 export TRIDENT_BENCH_QUICK=1
 
-FIGURES=(
-  fig2_baseline
-  fig3_overhead
-  fig4_coverage
-  fig5_speedup
-  fig6_breakdown
-  fig7_sensitivity_window
-  fig8_sensitivity_dlt
-  fig9_hw_vs_sw
-  fig10_selector
-  ablation_adaptivity
-)
+FIGURES=(figures fig9_hw_vs_sw fig10_selector)
 
 for FIG in "${FIGURES[@]}"; do
   echo

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Static-analysis driver for the Trident-SRP repo. Runs, in order:
 #
-#   1. trident-analyze     (tools/trident_analyze.py: full semantic rule
-#                           set — determinism, layering, lock discipline,
-#                           stats registration, plus the legacy lint
-#                           rules — with SARIF written to
+#   1. trident-analyze     (tools/trident_analyze.py: every rule —
+#                           determinism R1 R2 D1 C2, layering L1, lock
+#                           discipline C1 and hardware-modeling hygiene
+#                           R3-R7 — with SARIF written to
 #                           build-analysis/trident_analyze.sarif)
 #   2. warning gate        (full build with -Werror under the escalated
 #                           -Wshadow -Wconversion -Wextra-semi set)
