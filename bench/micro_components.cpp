@@ -135,10 +135,11 @@ BENCHMARK(BM_SimulatorThroughput)->Unit(benchmark::kMillisecond);
 static void BM_WorkloadImage(benchmark::State &State, const char *Name) {
   // The per-job set-up cost of one data image: declare it and destroy it.
   // Declaring writes no page and reserves room for every declared page;
-  // a shuffled list (dot's, here) builds its successor table. A page is
-  // filled only when a run writes it. After the first iteration, slabs
-  // come from the free list the previous image returned them to, as they
-  // do for later jobs of a batch.
+  // a shuffled list (dot's, here) builds its successor table. A run's
+  // writes to a page go into a 512-byte record of the words written, and
+  // the page is filled only when a write turns it dense. After the first
+  // iteration, slabs come from the free list the previous image returned
+  // them to, as they do for later jobs of a batch.
   Workload W = makeWorkload(Name);
   for (auto _ : State) {
     DataMemory M;

@@ -110,8 +110,11 @@ TEST(AllocCount, HardwareBaselineSteadyStateIsAllocFree) {
         << " time(s); the cycle loop must be allocation-free";
   };
   // A memory-bound and a compute-bound workload cover both ends of the
-  // hardware path (stream-buffer churn vs issue-limited ALU work).
-  for (const char *Name : {"mcf", "dot", "equake", "swim"})
+  // hardware path (stream-buffer churn vs issue-limited ALU work). swim
+  // writes whole pages; vis writes a few words a page into a declared
+  // image, and fma3d into memory nothing declared, so their pages stay
+  // sparse.
+  for (const char *Name : {"mcf", "dot", "equake", "swim", "vis", "fma3d"})
     Check(Name, "sb8x8");
   // Every other arsenal unit sizes its tables and prefetch buffer at
   // construction too.
@@ -122,17 +125,21 @@ TEST(AllocCount, HardwareBaselineSteadyStateIsAllocFree) {
 TEST(AllocCount, RecycledSlabHandoutIsAllocFree) {
   // A destroyed memory's slabs go back to the process-wide free list, and
   // a later memory materializing pages from them must not allocate. 700
-  // pages span three slabs and stay under the table's first growth point.
+  // pages, each written with 64 words so that it turns dense, span three
+  // slabs and stay under the table's first growth point.
   constexpr unsigned Pages = 700;
+  constexpr unsigned Words = 64;
   {
     DataMemory Old;
     for (unsigned P = 0; P < Pages; ++P)
-      Old.write64(P * DataMemory::PageSize, 1);
+      for (unsigned W = 0; W < Words; ++W)
+        Old.write64(P * DataMemory::PageSize + 8 * W, 1);
   }
   DataMemory M;
   uint64_t Allocs = countedAllocs([&] {
     for (unsigned P = 0; P < Pages; ++P)
-      M.write64(0x4000'0000 + P * DataMemory::PageSize, 1);
+      for (unsigned W = 0; W < Words; ++W)
+        M.write64(0x4000'0000 + P * DataMemory::PageSize + 8 * W, 1);
   });
   EXPECT_EQ(M.numPages(), Pages);
   EXPECT_EQ(Allocs, 0u)
@@ -141,10 +148,11 @@ TEST(AllocCount, RecycledSlabHandoutIsAllocFree) {
 
 TEST(AllocCount, DeclaredPagesMaterializeAllocFree) {
   // declareWords reserves table capacity and slab room for every page its
-  // words can touch, so the write that materializes one inside a
-  // measurement window never allocates; a read materializes nothing.
-  // 1,000 pages span four slabs and pass the table's first growth point
-  // (768 pages).
+  // words can touch, a record and a dense page each, so neither the write
+  // that materializes one inside a measurement window nor the write that
+  // turns it dense allocates; a read materializes nothing.
+  // 1,000 dense pages and the 125 slab pages their records take span five
+  // slabs, and the pages pass the table's first growth point (768).
   constexpr unsigned Pages = 1000;
   constexpr Addr Base = 0x8000'0000;
   constexpr uint64_t WordsPerPage = DataMemory::PageSize / 8;
@@ -169,6 +177,20 @@ TEST(AllocCount, DeclaredPagesMaterializeAllocFree) {
   EXPECT_EQ(Sum, WordsPerPage * Pages * (Pages - 1) / 2);
   EXPECT_EQ(Written, Sum);
   EXPECT_EQ(Allocs, 0u) << "materializing declared pages heap-allocated";
+  // Writing every word turns each of those sparse pages dense, from room
+  // the declaration reserved too.
+  uint64_t DenseAllocs = countedAllocs([&] {
+    for (unsigned P = 0; P < Pages; ++P)
+      for (uint64_t W = 0; W < WordsPerPage; ++W)
+        M.write64(Base + P * DataMemory::PageSize + 8 * W, ~W);
+  });
+  EXPECT_EQ(M.numPages(), Pages);
+  EXPECT_EQ(DenseAllocs, 0u) << "promoting declared pages heap-allocated";
+  uint64_t Wrong = 0;
+  for (unsigned P = 0; P < Pages; ++P)
+    for (uint64_t W = 0; W < WordsPerPage; ++W)
+      Wrong += M.read64(Base + P * DataMemory::PageSize + 8 * W) != ~W;
+  EXPECT_EQ(Wrong, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -414,6 +414,40 @@ TEST(EnhancedStream, DeadStreamRemoval) {
   EXPECT_GE(U.snapshotStats().get("dead_streams_removed"), 1u);
 }
 
+TEST(EnhancedStream, TrainerReplacementFollowsRecencyAndFreesConfirmed) {
+  // Two trainers, three regions: A, B and C lie in different 64-line
+  // regions, so the third region to miss must evict a trainer.
+  MemorySystem M(sbBackendConfig());
+  EnhancedStreamConfig Cfg = EnhancedStreamConfig::baseline();
+  Cfg.NumTrainingEntries = 2;
+  EnhancedStreamPrefetcher U(Cfg);
+  const uint64_t A = 1000, B = 5000, C = 9000;
+  Cycle Now = 0;
+  auto miss = [&](uint64_t Block) { missAtBlock(U, M, Block, Now += 10); };
+  // A and B each see two consistent misses; A's second comes last, so
+  // its recency touch leaves B least recently used.
+  miss(A);
+  miss(B);
+  miss(B + 1);
+  miss(A + 1);
+  // C takes B's trainer, not A's.
+  miss(C);
+  EXPECT_EQ(U.numActiveStreams(), 0u);
+  // A kept its two misses: its third confirms a stream and frees its
+  // trainer.
+  miss(A + 2);
+  EXPECT_EQ(U.numActiveStreams(), 1u) << "A lost its trainer to C";
+  // B was evicted, so its third miss only starts training again; it
+  // takes A's freed trainer instead of evicting C.
+  miss(B + 2);
+  EXPECT_EQ(U.numActiveStreams(), 1u) << "B kept its trainer";
+  // C kept its trainer and confirms on its next two misses.
+  miss(C + 1);
+  miss(C + 2);
+  EXPECT_EQ(U.numActiveStreams(), 2u)
+      << "C lost its trainer: A's confirmed trainer was never freed";
+}
+
 //===----------------------------------------------------------------------===//
 // DcptPrefetcher
 //===----------------------------------------------------------------------===//

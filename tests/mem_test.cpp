@@ -15,7 +15,9 @@
 #include <array>
 #include <functional>
 #include <iterator>
+#include <list>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -274,82 +276,131 @@ struct ByteModel {
 };
 } // namespace
 
+namespace {
+/// One input of the byte-model test: a window of pages, and how many of
+/// every 20 ops declare words, write one value, or write a run of aligned
+/// words on one page; the rest read.
+struct OpMix {
+  const char *Name;
+  uint64_t WindowPages;
+  unsigned Seeds, Ops;
+  unsigned Declares, Writes, Runs;
+};
+/// Words a sparse page stores before a write promotes it to a dense page.
+constexpr size_t SparseWords = 56;
+} // namespace
+
 TEST(DataMemory, RandomOperationsMatchAByteModel) {
-  // Seeded random sequences of declarations, writes and reads over a
-  // 32-page window; writes are rare enough that most reads find their
-  // page absent. Declarations overlap each other, straddle pages and
-  // step past whole pages; writes and reads are aligned, unaligned and
-  // page-straddling. Every read, the page count and the content hash
-  // must match the byte model.
+  // Seeded random sequences of declarations, writes and reads. The first
+  // input spans a 32-page window, and its writes are rare enough that
+  // most reads find their page absent. The second spans 4 pages, and its
+  // writes outnumber its reads, so pages cross from sparse to dense
+  // between declarations, unaligned writes and reads, and a page that was
+  // dense hands its record to one that materializes later. Declarations
+  // overlap each other, straddle pages and step past whole pages; writes
+  // and reads are aligned, unaligned and page-straddling. Every read, the
+  // page count and the content hash must match the byte model.
   constexpr Addr Window = 0x40'0000;
-  constexpr uint64_t WindowPages = 32;
   const uint64_t Strides[] = {8, 16, 24, 56, 64, 136, PageSz - 4, PageSz + 8,
                               3 * PageSz - 12};
-  size_t MixedStraddles = 0;
-  for (uint64_t Seed = 1; Seed <= 24; ++Seed) {
-    SCOPED_TRACE("seed " + std::to_string(Seed));
-    SplitMix64 Rng(Seed);
-    DataMemory M;
-    ByteModel Model;
-    std::vector<std::array<uint64_t, 3>> Declared; // Base, Count, Stride
-    auto pick = [&](uint64_t N) { return Rng.nextBelow(N); };
-    // An address in the window: word-aligned, anywhere, 1-7 bytes below a
-    // page boundary, or within 7 bytes of a declared word's start (the
-    // first and last words most often, and one past the last).
-    auto address = [&] {
-      const Addr Page = Window + pick(WindowPages) * PageSz;
-      switch (pick(4)) {
-      case 0:
-        return Page + 8 * pick(PageSz / 8);
-      case 1:
-        return Page + pick(PageSz);
-      case 2:
-        if (!Declared.empty()) {
-          const auto [Base, Count, Stride] = Declared[pick(Declared.size())];
-          const uint64_t I = pick(3) == 0 ? pick(Count + 1)
-                                          : (pick(2) ? 0 : Count - 1);
-          return Base + I * Stride + pick(15) - 7;
+  const OpMix Inputs[] = {{"read-mostly", 32, 24, 100, 3, 2, 0},
+                          {"write-heavy", 4, 16, 400, 1, 8, 4}};
+  size_t MixedStraddles = 0, Promotions = 0, CachedPromotions = 0;
+  for (const OpMix &In : Inputs) {
+    for (uint64_t Seed = 1; Seed <= In.Seeds; ++Seed) {
+      SCOPED_TRACE(std::string(In.Name) + " seed " + std::to_string(Seed));
+      SplitMix64 Rng(Seed);
+      DataMemory M;
+      ByteModel Model;
+      std::vector<std::array<uint64_t, 3>> Declared; // Base, Count, Stride
+      // The aligned words writes have stored on each page, and the page
+      // the last op accessed with one aligned read or write (the page
+      // the translation cache then holds), or none.
+      std::map<Addr, std::set<Addr>> StoredWords;
+      Addr LastAligned = ~Addr(0);
+      auto pick = [&](uint64_t N) { return Rng.nextBelow(N); };
+      // An address in the window: word-aligned, anywhere, 1-7 bytes below
+      // a page boundary, or within 7 bytes of a declared word's start (the
+      // first and last words most often, and one past the last).
+      auto address = [&] {
+        const Addr Page = Window + pick(In.WindowPages) * PageSz;
+        switch (pick(4)) {
+        case 0:
+          return Page + 8 * pick(PageSz / 8);
+        case 1:
+          return Page + pick(PageSz);
+        case 2:
+          if (!Declared.empty()) {
+            const auto [Base, Count, Stride] = Declared[pick(Declared.size())];
+            const uint64_t I = pick(3) == 0 ? pick(Count + 1)
+                                            : (pick(2) ? 0 : Count - 1);
+            return Base + I * Stride + pick(15) - 7;
+          }
+          [[fallthrough]];
+        default:
+          return Page + PageSz - 1 - pick(7);
         }
-        [[fallthrough]];
-      default:
-        return Page + PageSz - 1 - pick(7);
-      }
-    };
-    for (unsigned Op = 0; Op < 100; ++Op) {
-      const uint64_t Kind = pick(20);
-      if (Kind < 3) {
-        const uint64_t Stride = Strides[pick(std::size(Strides))];
-        const uint64_t Count = 1 + pick(Stride > PageSz / 2 ? 6 : 64);
-        const uint64_t Tag = Rng.next();
-        const Addr Base = address();
-        auto Value = [Tag](uint64_t I) { return wordValue(I, Tag); };
-        M.declareWords(Base, Count, Stride, Value);
-        Model.declare(Base, Count, Stride, Value);
-        Declared.push_back({Base, Count, Stride});
-      } else if (Kind < 5) {
-        const Addr A = address();
-        const uint64_t V = Rng.next();
+      };
+      auto write = [&](Addr A, uint64_t V) {
         M.write64(A, V);
         Model.write(A, V);
-      } else {
-        const Addr A = address();
-        const Addr Lo = A / PageSz, Hi = (A + 7) / PageSz;
-        if (Lo != Hi && Model.WrittenPages.count(Lo) !=
-                            Model.WrittenPages.count(Hi))
-          MixedStraddles += Model.DeclaredPages.count(
-              Model.WrittenPages.count(Lo) ? Hi : Lo);
-        ASSERT_EQ(M.read64(A), Model.read(A))
-            << "op " << Op << " read at 0x" << std::hex << A;
-      }
-      ASSERT_EQ(M.numPages(), Model.WrittenPages.size()) << "op " << Op;
-      if (Op % 20 == 19) {
-        ASSERT_EQ(M.contentHash(), Model.hash()) << "op " << Op;
+        const Addr W = A & ~Addr(7);
+        for (Addr Word : {W, A == W ? W : W + 8}) {
+          std::set<Addr> &Words = StoredWords[Word / PageSz];
+          if (!Words.insert(Word).second || Words.size() != SparseWords + 1)
+            continue;
+          ++Promotions;
+          CachedPromotions += A == W && Word / PageSz == LastAligned;
+        }
+        LastAligned = A == W ? A / PageSz : ~Addr(0);
+      };
+      for (unsigned Op = 0; Op < In.Ops; ++Op) {
+        const uint64_t Kind = pick(20);
+        if (Kind < In.Declares) {
+          const uint64_t Stride = Strides[pick(std::size(Strides))];
+          const uint64_t Count = 1 + pick(Stride > PageSz / 2 ? 6 : 64);
+          const uint64_t Tag = Rng.next();
+          const Addr Base = address();
+          auto Value = [Tag](uint64_t I) { return wordValue(I, Tag); };
+          M.declareWords(Base, Count, Stride, Value);
+          Model.declare(Base, Count, Stride, Value);
+          Declared.push_back({Base, Count, Stride});
+          LastAligned = ~Addr(0);
+        } else if (Kind < In.Declares + In.Writes) {
+          const Addr A = address();
+          write(A, Rng.next());
+        } else if (Kind < In.Declares + In.Writes + In.Runs) {
+          // 1-16 aligned words in a row, up to the end of the page.
+          const Addr Start = address() & ~Addr(7);
+          const Addr End = std::min(Start + 8 * (1 + pick(16)),
+                                    (Start / PageSz + 1) * PageSz);
+          for (Addr A = Start; A < End; A += 8)
+            write(A, Rng.next());
+        } else {
+          const Addr A = address();
+          const Addr Lo = A / PageSz, Hi = (A + 7) / PageSz;
+          if (Lo != Hi && Model.WrittenPages.count(Lo) !=
+                              Model.WrittenPages.count(Hi))
+            MixedStraddles += Model.DeclaredPages.count(
+                Model.WrittenPages.count(Lo) ? Hi : Lo);
+          ASSERT_EQ(M.read64(A), Model.read(A))
+              << "op " << Op << " read at 0x" << std::hex << A;
+          LastAligned = A % 8 == 0 ? Lo : ~Addr(0);
+        }
+        ASSERT_EQ(M.numPages(), Model.WrittenPages.size()) << "op " << Op;
+        if (Op % 20 == 19) {
+          ASSERT_EQ(M.contentHash(), Model.hash()) << "op " << Op;
+        }
       }
     }
   }
   // Straddling reads where one page exists and the other is only
   // declared: the path that merges declared and written bytes.
   EXPECT_GT(MixedStraddles, 0u);
+  // Sparse pages turned dense, some by a write that found the page's
+  // record in the translation cache.
+  EXPECT_GT(Promotions, 0u);
+  EXPECT_GT(CachedPromotions, 0u);
 }
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -446,6 +497,200 @@ TEST(Cache, RefillOfPresentLineKeepsIt) {
   Cache::LookupResult R = C.lookup(0x1000);
   ASSERT_TRUE(R);
   EXPECT_EQ(C.fillReady(R.Idx), 5u); // original fill time retained
+}
+
+namespace {
+/// A map-based model of one Cache, with the rules of Cache.h spelled out
+/// plainly. Per set: its valid lines in recency order, most recent first,
+/// each with the way it sits in; and a ring of four prefetch-victim tags
+/// with a cursor that steps on every record.
+class ReferenceCache {
+public:
+  struct Line {
+    uint64_t Tag;
+    unsigned Way;
+    Cycle FillReady;
+    bool Prefetched;
+    bool Untouched;
+  };
+  struct Outcome {
+    const Line *Hit; ///< null on a miss
+    bool VictimOfPrefetch;
+  };
+
+  explicit ReferenceCache(const CacheConfig &C)
+      : LineSize(C.LineSize), Assoc(C.Assoc), NumSets(C.numSets()) {}
+
+  uint64_t setOf(Addr LineAddr) const {
+    return LineAddr / LineSize % NumSets;
+  }
+  uint64_t tagOf(Addr LineAddr) const { return LineAddr / LineSize; }
+  Cache::LineIdx indexOf(const Line &L, uint64_t Set) const {
+    return static_cast<Cache::LineIdx>(Set * Assoc + L.Way);
+  }
+
+  /// A hit becomes the most recent line. A miss whose tag is in the ring
+  /// reports VictimOfPrefetch and clears that entry.
+  Outcome lookup(Addr LineAddr) {
+    SetState &S = Sets[setOf(LineAddr)];
+    const uint64_t Tag = tagOf(LineAddr);
+    if (auto It = find(S, Tag); It != S.Lines.end()) {
+      S.Lines.splice(S.Lines.begin(), S.Lines, It);
+      return {&S.Lines.front(), false};
+    }
+    for (std::optional<uint64_t> &V : S.Victims)
+      if (V == Tag) {
+        V.reset();
+        return {nullptr, true};
+      }
+    return {nullptr, false};
+  }
+
+  Line *peek(Addr LineAddr) {
+    SetState &S = Sets[setOf(LineAddr)];
+    auto It = find(S, tagOf(LineAddr));
+    return It == S.Lines.end() ? nullptr : &*It;
+  }
+
+  /// A refill of a present line only makes it the most recent. Otherwise
+  /// the fill takes the first invalid way, else the least recent line's;
+  /// a prefetch fill that displaces a demand-touched line records the
+  /// victim's tag.
+  const Line &insert(Addr LineAddr, Cycle FillReady, bool Prefetched) {
+    SetState &S = Sets[setOf(LineAddr)];
+    const uint64_t Tag = tagOf(LineAddr);
+    if (auto It = find(S, Tag); It != S.Lines.end()) {
+      S.Lines.splice(S.Lines.begin(), S.Lines, It);
+      return S.Lines.front();
+    }
+    unsigned Way = 0;
+    if (S.Lines.size() < Assoc) {
+      while (std::any_of(S.Lines.begin(), S.Lines.end(),
+                         [Way](const Line &X) { return X.Way == Way; }))
+        ++Way;
+    } else {
+      const Line &Lru = S.Lines.back();
+      Way = Lru.Way;
+      if (Prefetched && !Lru.Untouched) {
+        S.Victims[S.NextVictim] = Lru.Tag;
+        S.NextVictim = (S.NextVictim + 1) % S.Victims.size();
+      }
+      S.Lines.pop_back();
+    }
+    S.Lines.push_front({Tag, Way, FillReady, Prefetched, Prefetched});
+    return S.Lines.front();
+  }
+
+  /// Drops every line with a byte in [Lo, Hi]; the rings stay.
+  uint64_t invalidateRange(Addr Lo, Addr Hi) {
+    uint64_t N = 0;
+    for (auto &[Set, S] : Sets)
+      N += std::erase_if(S.Lines, [&](const Line &X) {
+        return X.Tag * LineSize <= Hi && X.Tag * LineSize + LineSize - 1 >= Lo;
+      });
+    return N;
+  }
+
+  void reset() { Sets.clear(); }
+
+private:
+  struct SetState {
+    std::list<Line> Lines; ///< valid lines, most recent first
+    std::array<std::optional<uint64_t>, 4> Victims;
+    size_t NextVictim = 0;
+  };
+  static std::list<Line>::iterator find(SetState &S, uint64_t Tag) {
+    return std::find_if(S.Lines.begin(), S.Lines.end(),
+                        [Tag](const Line &X) { return X.Tag == Tag; });
+  }
+
+  uint64_t LineSize, Assoc, NumSets;
+  std::map<uint64_t, SetState> Sets;
+};
+} // namespace
+
+TEST(Cache, MatchesAReferenceModelInLockStep) {
+  // Seeded streams of lookups, peeks, demand and prefetch fills, untouched
+  // bits cleared on hits, range invalidations and resets, run against
+  // Cache and ReferenceCache at once. Addresses come from a few sets with
+  // two more tags each than the set has ways, so every set evicts. After
+  // every op the hit or miss, VictimOfPrefetch, the line's index and its
+  // state must agree; every 500 ops, so must every modelled set's
+  // residency.
+  const MemSystemConfig Table1;
+  const CacheConfig Geometries[] = {Table1.L1, Table1.L2, Table1.L3,
+                                    {"L1-96KB-3way", 96 * 1024, 3, 64, 3},
+                                    tinyCache()};
+  for (const CacheConfig &G : Geometries) {
+    for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
+      SCOPED_TRACE(G.Name + " seed " + std::to_string(Seed));
+      SplitMix64 Rng(Seed);
+      auto pick = [&](uint64_t N) { return Rng.nextBelow(N); };
+      Cache C(G);
+      ReferenceCache Ref(G);
+      const uint64_t Sets = C.numSets();
+      std::vector<Addr> Pool;
+      for (uint64_t Set : std::set<uint64_t>{0, 1, Sets / 2 + 1, Sets - 1})
+        for (uint64_t K = 0; K < G.Assoc + 2; ++K)
+          Pool.push_back(((pick(1 << 20) * Sets) + Set) * G.LineSize);
+      // Checks the line at \p A in both: present in both or in neither,
+      // and the same index and state.
+      auto agree = [&](Addr A, Cache::LineIdx Idx,
+                       const ReferenceCache::Line *L, unsigned Op) {
+        const uint64_t Set = Ref.setOf(A);
+        ::testing::AssertionResult R = ::testing::AssertionFailure();
+        if ((Idx != Cache::NoLine) != (L != nullptr))
+          R << (L ? "the model holds the line" : "the cache holds the line");
+        else if (L && (Idx != Ref.indexOf(*L, Set) ||
+                       C.fillReady(Idx) != L->FillReady ||
+                       C.prefetched(Idx) != L->Prefetched ||
+                       C.untouched(Idx) != L->Untouched))
+          R << "index " << Idx << " vs way " << L->Way << ", fill "
+            << C.fillReady(Idx) << " vs " << L->FillReady << ", prefetched "
+            << C.prefetched(Idx) << " vs " << L->Prefetched << ", untouched "
+            << C.untouched(Idx) << " vs " << L->Untouched;
+        else
+          return ::testing::AssertionSuccess();
+        return R << " at op " << Op << ", set " << Set << ", tag 0x"
+                 << std::hex << Ref.tagOf(A);
+      };
+      for (unsigned Op = 0; Op < 20'000; ++Op) {
+        const Addr A = Pool[pick(Pool.size())];
+        const uint64_t Kind = pick(1000);
+        if (Kind < 400) {
+          const Cache::LookupResult R = C.lookup(A);
+          const ReferenceCache::Outcome M = Ref.lookup(A);
+          ASSERT_TRUE(agree(A, R.Idx, M.Hit, Op));
+          ASSERT_EQ(R.VictimOfPrefetch, M.VictimOfPrefetch)
+              << "op " << Op << ", set " << Ref.setOf(A) << ", tag 0x"
+              << std::hex << Ref.tagOf(A);
+          if (R && pick(2)) {
+            C.clearUntouched(R.Idx);
+            Ref.peek(A)->Untouched = false;
+          }
+        } else if (Kind < 500) {
+          ASSERT_TRUE(agree(A, C.peek(A), Ref.peek(A), Op));
+        } else if (Kind < 990) {
+          const Cycle Fill = pick(1000);
+          const bool Prefetched = pick(2);
+          const Cache::LineIdx Idx = C.insert(A, Fill, Prefetched);
+          ASSERT_TRUE(agree(A, Idx, &Ref.insert(A, Fill, Prefetched), Op));
+        } else if (Kind < 998) {
+          const Addr Lo = A + pick(G.LineSize) - G.LineSize / 2;
+          const Addr Hi = Lo + pick(3 * G.LineSize);
+          ASSERT_EQ(C.invalidateRange(Lo, Hi), Ref.invalidateRange(Lo, Hi))
+              << "op " << Op;
+        } else {
+          C.reset();
+          Ref.reset();
+        }
+        if (Op % 500 == 499) {
+          for (Addr P : Pool)
+            ASSERT_TRUE(agree(P, C.peek(P), Ref.peek(P), Op)) << " (residency)";
+        }
+      }
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
