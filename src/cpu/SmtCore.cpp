@@ -3,11 +3,6 @@
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
 //===----------------------------------------------------------------------===//
-//
-// trident-lint: hot-path (per-access simulation inner loop; no O(n) erase
-// scans)
-//
-//===----------------------------------------------------------------------===//
 
 #include "cpu/SmtCore.h"
 #include "support/Check.h"

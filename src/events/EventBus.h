@@ -64,7 +64,7 @@ public:
     TRIDENT_CHECK(S != nullptr, "null subscriber");
     for (unsigned K = 0; K < kNumEventKinds; ++K)
       if (Mask & (EventKindMask{1} << K))
-        ByKind[K].push_back(S); // trident-lint: alloc-ok(subscription setup)
+        ByKind[K].push_back(S); // trident-analyze: alloc-ok(subscription setup)
     Active |= Mask & kAllEventsMask;
   }
 
@@ -80,11 +80,11 @@ public:
     TRIDENT_CHECK(S != nullptr, "null subscriber");
     for (unsigned K = 0; K < kNumEventKinds; ++K)
       if (Mask & (EventKindMask{1} << K))
-        DeferredByKind[K].push_back(S); // trident-lint: alloc-ok(setup)
+        DeferredByKind[K].push_back(S); // trident-analyze: alloc-ok(setup)
     DeferredMask |= Mask & kAllEventsMask;
     Active |= Mask & kAllEventsMask;
     if (Staged.capacity() < kStagingBlock)
-      Staged.reserve(kStagingBlock); // trident-lint: alloc-ok(setup)
+      Staged.reserve(kStagingBlock);
   }
 
   /// Union of every subscriber's kind mask. Publishers test this before

@@ -32,8 +32,6 @@
 
 namespace trident {
 
-// trident-lint: not-a-hw-table(bounded by MaxPending, checked below; the
-// deque is the modeling substrate, not an unbounded software map)
 class EventQueue {
 public:
   /// \p MaxPending may be 0: every event drops (the pathological

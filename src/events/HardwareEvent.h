@@ -24,8 +24,9 @@
 ///    table's trace tracking.
 ///
 /// Every kind MUST have an entry in eventKindName()'s switch — the
-/// trident-lint `event-names` rule enforces this at CI time, and the
-/// compiler's -Wswitch enforces it at build time.
+/// compiler's -Wswitch enforces it at build time (an error under
+/// TRIDENT_WERROR), and events_test's EventNames.EveryKindHasUniqueName
+/// fails on a kind left "<bad>" or sharing another kind's name.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,9 +66,9 @@ inline constexpr unsigned kNumEventKinds =
 inline constexpr unsigned kNumCoreEventKinds =
     static_cast<unsigned>(EventKind::HwPfFeedback);
 
-/// Human/export name of an event kind. Keep in sync with EventKind: the
-/// trident-lint `event-names` rule requires a `case EventKind::X:` here
-/// for every enumerator.
+/// Human/export name of an event kind. Keep in sync with EventKind: every
+/// enumerator needs a `case EventKind::X:` here, which -Wswitch and
+/// EventNames.EveryKindHasUniqueName check (so no `default:`).
 inline const char *eventKindName(EventKind K) {
   switch (K) {
   case EventKind::Commit:

@@ -19,8 +19,7 @@
 /// Determinism contract: a plan contains no randomness at execution time —
 /// the same plan against the same machine produces the same injection
 /// schedule, cycle for cycle. scattered() is the only RNG consumer and it
-/// runs at plan *construction*, seeded explicitly (SplitMix64, per
-/// trident-lint rules).
+/// runs at plan *construction*, seeded explicitly (SplitMix64).
 ///
 //===----------------------------------------------------------------------===//
 

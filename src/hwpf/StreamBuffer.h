@@ -98,8 +98,6 @@ private:
     Cycle Ready = 0;
   };
 
-  // trident-analyze: not-a-hw-table(per-stream record; Ring is sized to
-  // the config Depth once at construction and never regrows)
   struct Buffer {
     bool Valid = false;
     /// Page the stream was (re)primed in, for the page-boundary stop.

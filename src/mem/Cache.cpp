@@ -3,10 +3,6 @@
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
 //===----------------------------------------------------------------------===//
-//
-// trident-lint: hot-path (per-access lookup/insert; no O(n) erase scans)
-//
-//===----------------------------------------------------------------------===//
 
 #include "mem/Cache.h"
 #include "support/Check.h"

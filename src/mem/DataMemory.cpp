@@ -39,7 +39,7 @@ struct DataMemory::Slab {
 /// it outlives every DataMemory, including those destroyed at exit.
 struct DataMemory::SlabPool {
   std::mutex Mu;
-  // trident-analyze: guarded-by(Mu)
+  // Guarded by Mu.
   Slab *Free = nullptr;
 
   static SlabPool &instance() {

@@ -3,11 +3,6 @@
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
 //===----------------------------------------------------------------------===//
-//
-// trident-lint: hot-path (per-access simulation inner loop; no O(n) erase
-// scans)
-//
-//===----------------------------------------------------------------------===//
 
 #include "mem/MemorySystem.h"
 #include "support/StatRegistry.h"
@@ -44,7 +39,7 @@ MemorySystem::MemorySystem(const MemSystemConfig &Cfg)
                 "hierarchy levels must share a line size (L1 %u, L2 %u, L3 %u)",
                 Config.L1.LineSize, Config.L2.LineSize, Config.L3.LineSize);
   if (Config.Tlb.Enable)
-    Dtlb = std::make_unique<Tlb>(Config.Tlb); // trident-lint: alloc-ok(construction)
+    Dtlb = std::make_unique<Tlb>(Config.Tlb); // trident-analyze: alloc-ok(ctor)
   // The MSHR heap never outgrows the configured hardware bound; reserving
   // it here keeps the per-miss push/pop allocation-free.
   OutstandingFills.reserve(Config.NumMSHRs);

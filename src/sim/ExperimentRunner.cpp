@@ -126,7 +126,7 @@ namespace {
 
 struct ResultCache {
   std::mutex Mu;
-  // trident-analyze: guarded-by(Mu)
+  // Guarded by Mu.
   std::unordered_map<std::string, std::shared_ptr<const SimResult>> Map;
 
   static ResultCache &instance() {

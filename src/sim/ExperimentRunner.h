@@ -147,18 +147,15 @@ private:
   unsigned NumThreads = 1;
   bool UseCache = true;
 
-  // Batch state, guarded by Mu. Workers claim tasks by incrementing
-  // NextTask; the batch is done when Completed == Tasks.size().
+  // Batch state: Mu guards Tasks, NextTask, Completed and ShuttingDown.
+  // Workers claim tasks by incrementing NextTask; the batch is done when
+  // Completed == Tasks.size().
   std::mutex Mu;
   std::condition_variable WorkAvailable;
   std::condition_variable BatchDone;
-  // trident-analyze: guarded-by(Mu)
   std::vector<std::function<void()>> Tasks;
-  // trident-analyze: guarded-by(Mu)
   size_t NextTask = 0;
-  // trident-analyze: guarded-by(Mu)
   size_t Completed = 0;
-  // trident-analyze: guarded-by(Mu)
   bool ShuttingDown = false;
 
   std::vector<std::thread> Workers;

@@ -10,9 +10,9 @@
 /// A cycle-accurate simulator is only as trustworthy as its invariants —
 /// a silently corrupted MSHR heap or a non-monotonic cycle counter does
 /// not crash, it just produces wrong numbers that look plausible. These
-/// macros replace bare assert() everywhere in src/ (enforced by
-/// tools/trident_analyze.py) and add printf-style formatted context so a
-/// failure report carries the actual values, not just the expression:
+/// macros replace bare assert() everywhere in src/ and add printf-style
+/// formatted context so a failure report carries the actual values, not
+/// just the expression:
 ///
 ///   TRIDENT_CHECK(Ctx < Ctxs.size(),
 ///                 "context %u out of range (have %zu)", Ctx, Ctxs.size());

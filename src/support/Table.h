@@ -21,7 +21,7 @@
 namespace trident {
 
 /// Column-aligned ASCII table. Add a header once, then rows of equal arity.
-// trident-lint: not-a-hw-table(render-time report builder, rows are
+// trident-analyze: not-a-hw-table(render-time report builder, rows are
 // bounded by the workload list, not a modeled SRAM)
 class Table {
 public:

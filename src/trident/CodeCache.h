@@ -27,7 +27,7 @@
 
 namespace trident {
 
-// trident-lint: not-a-hw-table(the Code Cache is a software memory buffer
+// trident-analyze: not-a-hw-table(the Code Cache is a software memory buffer
 // in the optimizer's address space, not a fixed SRAM; Section 3.2)
 class CodeCache {
 public:

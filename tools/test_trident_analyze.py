@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fixture self-test for tools/trident_analyze.py.
+"""Self-test for tools/trident_analyze.py, and its gate over the tree.
 
 Each directory under tests/lint_fixtures/<rule>/<positive|negative>/ is a
 miniature repo root (its own src/, optionally its own tools/layering.json)
@@ -15,7 +15,9 @@ free to evolve; the rule firing (or staying silent) is the contract.
 
 Positive fixtures prove a rule still fires; negative fixtures prove its
 suppressions (annotations, sort-sinks, config-indirected bounds, allowed
-layering edges) still hold. ctest runs this as analyze_fixture_test.
+layering edges) still hold. The last case is the repository root itself,
+which must analyze clean, so a finding anywhere in src/ fails this test.
+ctest runs it as analyze_fixture_test (tier 1).
 
 The engine is imported once and every case, and the rule listing, runs in
 this process through trident_analyze.main(argv) with its output captured.
@@ -66,16 +68,16 @@ def run_case(case: Path) -> list:
     rc, stdout, crash = run_engine(["--root", str(case)])
     if crash:
         return [f"engine crashed: {crash.strip()[-400:]}"]
-    actual = set()
+    actual = {}  # (rule, file) -> the first finding line, for the report
     for line in stdout.splitlines():
         m = FINDING.match(line)
         if m:
-            actual.add((m.group("rule"), m.group("rel")))
+            actual.setdefault((m.group("rule"), m.group("rel")), line)
     errors = []
-    for miss in sorted(expected - actual):
+    for miss in sorted(expected - actual.keys()):
         errors.append(f"expected finding did not fire: [{miss[0]}] {miss[1]}")
-    for extra in sorted(actual - expected):
-        errors.append(f"unexpected finding: [{extra[0]}] {extra[1]}")
+    for extra in sorted(actual.keys() - expected):
+        errors.append(f"unexpected finding: {actual[extra]}")
     want_rc = 1 if expected else 0
     if not errors and rc != want_rc:
         errors.append(f"exit code {rc}, expected {want_rc}")
@@ -90,9 +92,9 @@ def main() -> int:
         print(f"no fixture cases under {corpus}", file=sys.stderr)
         return 1
     failed = 0
-    for case in cases:
+    for case in cases + [root]:
         errors = run_case(case)
-        tag = case.relative_to(corpus)
+        tag = "repository root" if case == root else case.relative_to(corpus)
         if errors:
             failed += 1
             print(f"FAIL {tag}")
@@ -113,9 +115,10 @@ def main() -> int:
                 failed += 1
                 print(f"FAIL {rid}: missing {kind} fixture directory")
     if failed:
-        print(f"{failed} fixture case(s) failed", file=sys.stderr)
+        print(f"{failed} case(s) failed", file=sys.stderr)
         return 1
-    print(f"all {len(cases)} fixture cases passed", file=sys.stderr)
+    print(f"all {len(cases)} fixture cases and the repository root passed",
+          file=sys.stderr)
     return 0
 
 
