@@ -21,13 +21,14 @@
 //   TRIDENT_FIG10_BANDIT     bandit spec override (default
 //                            "bandit:seed=7,eps=10,ema=600" — light
 //                            exploration, fast-aging values; tuned so the
-//                            regime shifts themselves drive adaptation)
+//                            regime shifts themselves drive adaptation).
+//                            A spec that does not parse exits 2 before
+//                            any simulation runs.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "hwpf/PrefetcherRegistry.h"
-#include "support/Check.h"
 
 #include <algorithm>
 #include <cmath>
@@ -75,6 +76,20 @@ double exposedPerLoad(const SimResult &R) {
 } // namespace
 
 int main() {
+  // The bandit spec is read once, before any simulation, so a bad override
+  // costs nothing.
+  SelectorConfig BanditSelector;
+  {
+    const char *Env = std::getenv("TRIDENT_FIG10_BANDIT");
+    const std::string Text =
+        Env && *Env ? Env : "bandit:seed=7,eps=10,ema=600";
+    std::string Err;
+    if (!SelectorConfig::parse(Text, BanditSelector, &Err)) {
+      std::fprintf(stderr, "error: bad TRIDENT_FIG10_BANDIT '%s': %s\n",
+                   Text.c_str(), Err.c_str());
+      return 2;
+    }
+  }
   printHeader("Figure 10",
               "phase-aware selector vs static arsenal under regime shifts",
               "beyond the paper: runtime-guided reconfiguration (POWER7) / "
@@ -114,20 +129,13 @@ int main() {
   // job-construction time (runBatch is not reentrant; resolution itself
   // runs batches), never from inside a worker.
   std::vector<NamedJob> AdaptiveJobs;
-  const char *BanditSpecEnv = std::getenv("TRIDENT_FIG10_BANDIT");
-  const std::string BanditSpec = BanditSpecEnv && *BanditSpecEnv
-                                     ? BanditSpecEnv
-                                     : "bandit:seed=7,eps=10,ema=600";
   for (const std::string &Name : Loads) {
     SimConfig Bandit = baseConfig("sb8x8");
-    std::string Err;
-    bool Ok = SelectorConfig::parse(BanditSpec, Bandit.Selector, &Err);
-    TRIDENT_CHECK(Ok, "fig10 bandit spec failed to parse: %s", Err.c_str());
+    Bandit.Selector = BanditSelector;
     AdaptiveJobs.emplace_back(Name, Bandit);
 
     SimConfig Oracle = baseConfig("sb8x8");
-    Ok = SelectorConfig::parse("oracle", Oracle.Selector, &Err);
-    TRIDENT_CHECK(Ok, "fig10 oracle spec failed to parse: %s", Err.c_str());
+    Oracle.Selector.Policy = SelectorPolicy::Oracle;
     Oracle = resolveSelectorOracle(runner(), makeWorkload(Name),
                                    withBudget(Oracle));
     AdaptiveJobs.emplace_back(Name, Oracle);

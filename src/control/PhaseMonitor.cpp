@@ -7,17 +7,19 @@
 #include "control/PhaseMonitor.h"
 
 #include "support/Check.h"
+#include "support/Spec.h"
 
 using namespace trident;
 
 namespace {
 
-/// Arm index of \p Spec's base name in \p Arms, or kNoArm.
-unsigned armOf(const std::vector<std::string> &Arms, const std::string &Spec) {
-  const std::string Name = Spec.substr(0, Spec.find(':'));
-  for (unsigned A = 0; A < Arms.size(); ++A)
-    if (Arms[A] == Name)
-      return A;
+/// Arm index in \p Arms of the unit spec \p Text names, or kNoArm.
+unsigned armOf(const std::vector<std::string> &Arms, const std::string &Text) {
+  Spec S;
+  if (Spec::parse(Text, S, nullptr))
+    for (unsigned A = 0; A < Arms.size(); ++A)
+      if (Arms[A] == S.Head)
+        return A;
   return SelectorDecisionRecord::kNoArm;
 }
 

@@ -6,7 +6,6 @@
 
 #include "control/PrefetcherSelector.h"
 
-#include "hwpf/PrefetcherRegistry.h"
 #include "support/Check.h"
 #include "support/Random.h"
 
@@ -77,53 +76,34 @@ const char *trident::selectorPolicyName(SelectorPolicy P) {
   return "<bad>";
 }
 
-bool SelectorConfig::parse(const std::string &Spec, SelectorConfig &Out,
+bool SelectorConfig::parse(const std::string &Text, SelectorConfig &Out,
                            std::string *Error) {
   Out = SelectorConfig();
-  if (Spec.empty())
+  if (Text.empty())
     return true;
-  PrefetcherSpec S;
-  if (!PrefetcherSpec::parse(Spec, S, Error))
+  Spec S;
+  if (!Spec::parse(Text, S, Error))
     return false;
   const std::vector<PolicyRow> &All = policies();
   auto Row = std::find_if(All.begin(), All.end(),
-                          [&](const PolicyRow &P) { return S.Name == P.Name; });
+                          [&](const PolicyRow &P) { return S.Head == P.Name; });
   if (Row == All.end()) {
     if (Error)
-      *Error = "unknown selector policy '" + S.Name + "' (policies: " +
+      *Error = "unknown selector policy '" + S.Head + "' (policies: " +
                policyNames() + ")";
     return false;
   }
   Out.Policy = Row->Policy;
   const std::vector<std::string> &Allowed = Row->Knobs;
-  for (const auto &K : S.Knobs) {
-    if (std::find(Allowed.begin(), Allowed.end(), K.first) == Allowed.end()) {
-      if (Error)
-        *Error = "unknown knob '" + K.first + "' for selector policy '" +
-                 S.Name + "' (" + knobVocabulary() + ")";
-      return false;
-    }
-  }
-  Out.SamplesPerEpoch = S.knobOr("epoch", Out.SamplesPerEpoch);
-  Out.IntervalCommits = S.knobOr("interval", Out.IntervalCommits);
-  Out.Seed = S.knobOr("seed", Out.Seed);
-  Out.EpsilonPermille = S.knobOr("eps", Out.EpsilonPermille);
-  Out.Ucb = S.knobOr("ucb", Out.Ucb ? 1 : 0) != 0;
-  Out.EmaPermille = S.knobOr("ema", Out.EmaPermille);
-  if (Out.enabled() && (Out.SamplesPerEpoch == 0 || Out.IntervalCommits == 0)) {
-    if (Error)
-      *Error = "selector knobs epoch/interval must be nonzero in spec '" +
-               Spec + "'";
-    return false;
-  }
-  if (Out.EpsilonPermille > 1000 || Out.EmaPermille == 0 ||
-      Out.EmaPermille > 1000) {
-    if (Error)
-      *Error = "selector knob out of range in spec '" + Spec +
-               "' (eps: 0..1000, ema: 1..1000)";
-    return false;
-  }
-  return true;
+  std::string Why;
+  for (auto K = S.Knobs.begin(); Why.empty() && K != S.Knobs.end(); ++K)
+    if (std::find(Allowed.begin(), Allowed.end(), K->first) == Allowed.end() ||
+        !setKnob(Out, S.Head, K->first, K->second, Why))
+      Why = "unknown knob '" + K->first + "' for selector policy '" + S.Head +
+            "' (" + knobVocabulary() + ")";
+  if (Error && !Why.empty())
+    *Error = Why;
+  return Why.empty();
 }
 
 std::string SelectorConfig::shortName() const {

@@ -30,6 +30,7 @@
 #define TRIDENT_CONTROL_PREFETCHERSELECTOR_H
 
 #include "support/Fields.h"
+#include "support/Spec.h"
 
 #include <cstdint>
 #include <memory>
@@ -80,15 +81,26 @@ struct SelectorConfig {
                       Field{"oracle_unit", &C::OracleUnit});
   }
 
+  /// The spec knobs and the values each accepts. A policy takes the subset
+  /// its row in PrefetcherSelector.cpp lists.
+  static constexpr auto knobs() {
+    using C = SelectorConfig;
+    return std::tuple(Knob{"epoch", &C::SamplesPerEpoch, 1},
+                      Knob{"interval", &C::IntervalCommits, 1},
+                      Knob{"seed", &C::Seed},
+                      Knob{"eps", &C::EpsilonPermille, 0, 1000},
+                      Knob{"ucb", &C::Ucb, 0, 1},
+                      Knob{"ema", &C::EmaPermille, 1, 1000});
+  }
+
   /// True when the control plane is built at all.
   bool enabled() const { return Policy != SelectorPolicy::Static; }
 
-  /// Parses \p Spec (`static`, `bandit[:knobs]`, `oracle[:knobs]`; knobs
-  /// epoch, interval, seed, eps, ucb, ema). Splitting and value
-  /// validation ride on PrefetcherSpec::parse, so the arsenal's knob
-  /// hardening (no signs, 32-bit range, no duplicates) applies here too.
-  /// On failure returns false and sets \p Error.
-  static bool parse(const std::string &Spec, SelectorConfig &Out,
+  /// Parses spec \p Text (`static`, `bandit[:knobs]`, `oracle[:knobs]`)
+  /// through Spec::parse, so the arsenal's knob hardening (no signs, 32-bit
+  /// range, no duplicates) applies here too. On failure returns false and
+  /// sets \p Error.
+  static bool parse(const std::string &Text, SelectorConfig &Out,
                     std::string *Error);
 
   /// Display name for configs/figures: "static", "bandit", "bandit-ucb",

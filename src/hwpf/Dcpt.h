@@ -20,7 +20,7 @@
 #define TRIDENT_HWPF_DCPT_H
 
 #include "hwpf/PrefetchBuffer.h"
-#include "hwpf/PrefetcherRegistry.h"
+#include "support/Spec.h"
 
 #include <string>
 #include <vector>
@@ -39,11 +39,13 @@ struct DcptConfig {
 
   /// Upper bound of every knob above.
   static constexpr unsigned MaxSize = 1024;
-  static constexpr Knob<DcptConfig> Knobs[] = {
-      {"entries", &DcptConfig::NumEntries, 1, MaxSize},
-      {"deltas", &DcptConfig::NumDeltas, 2, MaxSize},
-      {"degree", &DcptConfig::Degree, 1, MaxSize},
-      {"buffer", &DcptConfig::BufferCapacity, 0, MaxSize}};
+  static constexpr auto knobs() {
+    using C = DcptConfig;
+    return std::tuple(Knob{"entries", &C::NumEntries, 1, MaxSize},
+                      Knob{"deltas", &C::NumDeltas, 2, MaxSize},
+                      Knob{"degree", &C::Degree, 1, MaxSize},
+                      Knob{"buffer", &C::BufferCapacity, 0, MaxSize});
+  }
 
   static DcptConfig baseline() { return DcptConfig(); }
   /// Why no unit can be built from this config, or "" when one can. The

@@ -21,8 +21,8 @@
 #define TRIDENT_HWPF_ENHANCEDSTREAM_H
 
 #include "hwpf/PrefetchBuffer.h"
-#include "hwpf/PrefetcherRegistry.h"
 #include "support/LruTable.h"
+#include "support/Spec.h"
 
 #include <string>
 #include <vector>
@@ -50,13 +50,15 @@ struct EnhancedStreamConfig {
 
   /// Upper bound of the trainer and stream counts, Degree and Depth.
   static constexpr unsigned MaxSize = 1024;
-  static constexpr Knob<EnhancedStreamConfig> Knobs[] = {
-      {"trainers", &EnhancedStreamConfig::NumTrainingEntries, 1, MaxSize},
-      {"streams", &EnhancedStreamConfig::NumStreams, 1, MaxSize},
-      {"degree", &EnhancedStreamConfig::Degree, 1, MaxSize},
-      {"depth", &EnhancedStreamConfig::Depth, 0, MaxSize},
-      {"region", &EnhancedStreamConfig::RegionLines},
-      {"confirm", &EnhancedStreamConfig::ConfirmMisses}};
+  static constexpr auto knobs() {
+    using C = EnhancedStreamConfig;
+    return std::tuple(Knob{"trainers", &C::NumTrainingEntries, 1, MaxSize},
+                      Knob{"streams", &C::NumStreams, 1, MaxSize},
+                      Knob{"degree", &C::Degree, 1, MaxSize},
+                      Knob{"depth", &C::Depth, 0, MaxSize},
+                      Knob{"region", &C::RegionLines},
+                      Knob{"confirm", &C::ConfirmMisses});
+  }
 
   static EnhancedStreamConfig baseline() { return EnhancedStreamConfig(); }
   /// Why no unit can be built from this config, or "" when one can. The

@@ -16,8 +16,9 @@
 #ifndef TRIDENT_HWPF_STREAMBUFFER_H
 #define TRIDENT_HWPF_STREAMBUFFER_H
 
-#include "hwpf/PrefetcherRegistry.h"
 #include "hwpf/StridePredictor.h"
+#include "mem/MemorySystem.h"
+#include "support/Spec.h"
 
 #include <string>
 #include <vector>
@@ -38,10 +39,12 @@ struct StreamBufferConfig {
 
   /// Upper bound of NumBuffers, Depth and HistoryEntries.
   static constexpr unsigned MaxSize = 1024;
-  static constexpr Knob<StreamBufferConfig> Knobs[] = {
-      {"buffers", &StreamBufferConfig::NumBuffers, 1, MaxSize},
-      {"depth", &StreamBufferConfig::Depth, 0, MaxSize},
-      {"history", &StreamBufferConfig::HistoryEntries, 1, MaxSize}};
+  static constexpr auto knobs() {
+    using C = StreamBufferConfig;
+    return std::tuple(Knob{"buffers", &C::NumBuffers, 1, MaxSize},
+                      Knob{"depth", &C::Depth, 0, MaxSize},
+                      Knob{"history", &C::HistoryEntries, 1, MaxSize});
+  }
 
   static StreamBufferConfig config4x4() { return {4, 4, 1024, true}; }
   static StreamBufferConfig config8x8() { return {8, 8, 1024, true}; }

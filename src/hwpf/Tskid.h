@@ -23,7 +23,7 @@
 #define TRIDENT_HWPF_TSKID_H
 
 #include "hwpf/PrefetchBuffer.h"
-#include "hwpf/PrefetcherRegistry.h"
+#include "support/Spec.h"
 
 #include <string>
 #include <vector>
@@ -46,13 +46,15 @@ struct TskidConfig {
 
   /// Upper bound of the four table sizes above.
   static constexpr unsigned MaxSize = 1024;
-  static constexpr Knob<TskidConfig> Knobs[] = {
-      {"entries", &TskidConfig::NumEntries, 1, MaxSize},
-      {"recent", &TskidConfig::RecentMissDepth, 1, MaxSize},
-      {"pending", &TskidConfig::PendingDepth, 1, MaxSize},
-      {"buffer", &TskidConfig::BufferCapacity, 0, MaxSize},
-      {"lead", &TskidConfig::LeadCycles},
-      {"minskid", &TskidConfig::MinSkidCycles}};
+  static constexpr auto knobs() {
+    using C = TskidConfig;
+    return std::tuple(Knob{"entries", &C::NumEntries, 1, MaxSize},
+                      Knob{"recent", &C::RecentMissDepth, 1, MaxSize},
+                      Knob{"pending", &C::PendingDepth, 1, MaxSize},
+                      Knob{"buffer", &C::BufferCapacity, 0, MaxSize},
+                      Knob{"lead", &C::LeadCycles},
+                      Knob{"minskid", &C::MinSkidCycles});
+  }
 
   static TskidConfig baseline() { return TskidConfig(); }
   /// Why no unit can be built from this config, or "" when one can. The

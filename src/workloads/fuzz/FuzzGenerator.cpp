@@ -12,7 +12,6 @@
 #include "support/Random.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
 using namespace trident;
@@ -25,42 +24,15 @@ namespace {
 
 constexpr char kFuzzPrefix[] = "fuzz@";
 
-/// Knob metadata: name, range, and accessor — one row per FuzzKnobs field,
-/// shared by the parser (validation and its unknown-knob text) and the
-/// name builder (canonical order), so none of them can disagree about
-/// what a knob is called.
-struct KnobInfo {
-  const char *Name;
-  uint64_t Min;
-  uint64_t Max;
-  uint64_t (*Get)(const FuzzKnobs &);
-  void (*Set)(FuzzKnobs &, uint64_t);
-};
-
-constexpr KnobInfo kKnobs[] = {
-    {"wset", 64, 131072, [](const FuzzKnobs &K) { return K.WsetKB; },
-     [](FuzzKnobs &K, uint64_t V) { K.WsetKB = V; }},
-    {"segs", 1, 8,
-     [](const FuzzKnobs &K) { return uint64_t(K.Segments); },
-     [](FuzzKnobs &K, uint64_t V) { K.Segments = unsigned(V); }},
-    {"entropy", 0, 1000,
-     [](const FuzzKnobs &K) { return uint64_t(K.EntropyPermille); },
-     [](FuzzKnobs &K, uint64_t V) { K.EntropyPermille = unsigned(V); }},
-    {"branch", 0, 1000,
-     [](const FuzzKnobs &K) { return uint64_t(K.BranchPermille); },
-     [](FuzzKnobs &K, uint64_t V) { K.BranchPermille = unsigned(V); }},
-    {"phase", 64, 1'000'000,
-     [](const FuzzKnobs &K) { return K.PhaseIters; },
-     [](FuzzKnobs &K, uint64_t V) { K.PhaseIters = V; }},
-    {"streams", 1, 10,
-     [](const FuzzKnobs &K) { return uint64_t(K.Streams); },
-     [](FuzzKnobs &K, uint64_t V) { K.Streams = unsigned(V); }},
-};
-constexpr size_t kNumKnobs = sizeof(kKnobs) / sizeof(kKnobs[0]);
-
-void setError(std::string *Error, const std::string &Msg) {
-  if (Error)
-    *Error = Msg;
+/// Calls \p Fn(name, value) for each knob of \p K that differs from its
+/// default, in list order: the canonical name and the generator's seed
+/// salt both walk this, so neither can reorder or skip a knob.
+template <typename FnT> void forEachSetKnob(const FuzzKnobs &K, FnT &&Fn) {
+  const FuzzKnobs Defaults;
+  forEachKnob<FuzzKnobs>([&](const auto &Row) {
+    if (K.*Row.Member != Defaults.*Row.Member)
+      Fn(Row.Name, static_cast<uint64_t>(K.*Row.Member));
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -368,86 +340,38 @@ bool trident::isFuzzSpec(const std::string &Name) {
   return Name.rfind(kFuzzPrefix, 0) == 0;
 }
 
-bool trident::parseFuzzSpec(const std::string &Spec, uint64_t &Seed,
+bool trident::parseFuzzSpec(const std::string &Text, uint64_t &Seed,
                             FuzzKnobs &Knobs, std::string *Error) {
-  std::string Body = Spec;
-  if (isFuzzSpec(Body))
-    Body = Body.substr(std::strlen(kFuzzPrefix));
-  const size_t Colon = Body.find(':');
-  const std::string SeedStr = Body.substr(0, Colon);
-  const std::optional<uint64_t> SeedValue = parseDecimal(SeedStr);
-  if (!SeedValue) {
-    setError(Error, "seed '" + SeedStr + "' is not a decimal uint64");
+  const std::string Body =
+      isFuzzSpec(Text) ? Text.substr(std::strlen(kFuzzPrefix)) : Text;
+  Spec S;
+  if (!Spec::parse(Body, S, Error))
     return false;
-  }
-  Seed = *SeedValue;
+  const std::optional<uint64_t> SeedValue = parseDecimal(S.Head);
+  std::string Why;
+  if (!SeedValue)
+    Why = "seed '" + S.Head + "' is not a decimal uint64";
+  Seed = SeedValue.value_or(0);
   Knobs = FuzzKnobs();
-  if (Colon == std::string::npos)
-    return true;
-
-  bool Seen[kNumKnobs] = {};
-  std::string Rest = Body.substr(Colon + 1);
-  size_t Pos = 0;
-  while (Pos <= Rest.size()) {
-    size_t Comma = Rest.find(',', Pos);
-    std::string Item = Rest.substr(
-        Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
-    Pos = Comma == std::string::npos ? Rest.size() + 1 : Comma + 1;
-    const size_t Eq = Item.find('=');
-    if (Eq == std::string::npos || Eq == 0) {
-      setError(Error, "knob '" + Item + "' is not name=value");
-      return false;
-    }
-    const std::string Key = Item.substr(0, Eq);
-    const std::optional<uint64_t> Value = parseDecimal(Item.substr(Eq + 1));
-    if (!Value) {
-      setError(Error, "knob '" + Key + "' value '" + Item.substr(Eq + 1) +
-                          "' is not a decimal integer");
-      return false;
-    }
-    size_t K = 0;
-    for (; K < kNumKnobs; ++K)
-      if (Key == kKnobs[K].Name)
-        break;
-    if (K == kNumKnobs) {
-      std::string Have;
-      for (const KnobInfo &Info : kKnobs)
-        Have += (Have.empty() ? "" : ", ") + std::string(Info.Name);
-      setError(Error, "unknown knob '" + Key + "' (have " + Have + ")");
-      return false;
-    }
-    if (Seen[K]) {
-      setError(Error, "duplicate knob '" + Key + "'");
-      return false;
-    }
-    Seen[K] = true;
-    if (*Value < kKnobs[K].Min || *Value > kKnobs[K].Max) {
-      char Buf[128];
-      std::snprintf(Buf, sizeof(Buf), "knob '%s' value %llu out of range [%llu, %llu]",
-                    kKnobs[K].Name, (unsigned long long)*Value,
-                    (unsigned long long)kKnobs[K].Min,
-                    (unsigned long long)kKnobs[K].Max);
-      setError(Error, Buf);
-      return false;
-    }
-    kKnobs[K].Set(Knobs, *Value);
-  }
-  return true;
+  for (auto K = S.Knobs.begin(); Why.empty() && K != S.Knobs.end(); ++K)
+    if (!setKnob(Knobs, "fuzz", K->first, K->second, Why))
+      Why = "unknown knob '" + K->first + "' (have " + knobNames<FuzzKnobs>() +
+            ")";
+  if (Error && !Why.empty())
+    *Error = Why;
+  return Why.empty();
 }
 
 std::string trident::fuzzWorkloadName(uint64_t Seed, const FuzzKnobs &Knobs) {
   std::string Name = kFuzzPrefix + std::to_string(Seed);
-  const FuzzKnobs Defaults;
   char Sep = ':';
-  for (const KnobInfo &K : kKnobs) {
-    if (K.Get(Knobs) == K.Get(Defaults))
-      continue;
+  forEachSetKnob(Knobs, [&](const char *Key, uint64_t Value) {
     Name += Sep;
     Sep = ',';
-    Name += K.Name;
+    Name += Key;
     Name += '=';
-    Name += std::to_string(K.Get(Knobs));
-  }
+    Name += std::to_string(Value);
+  });
   return Name;
 }
 
@@ -457,10 +381,9 @@ Workload trident::makeFuzzWorkload(uint64_t Seed, const FuzzKnobs &Knobs) {
   // consulted.
   SplitMix64 Salt(Seed);
   uint64_t State = Salt.next();
-  const FuzzKnobs Defaults;
-  for (const KnobInfo &K : kKnobs)
-    if (K.Get(Knobs) != K.Get(Defaults))
-      State = (State ^ K.Get(Knobs)) * 0x100000001b3ull;
+  forEachSetKnob(Knobs, [&](const char *, uint64_t Value) {
+    State = (State ^ Value) * 0x100000001b3ull;
+  });
   SplitMix64 Rng(State);
 
   std::vector<SegPlan> Plans;

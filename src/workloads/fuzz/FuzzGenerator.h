@@ -20,26 +20,15 @@
 /// are the same program — which the name guarantees.
 ///
 /// Spec grammar (the `trident_sim --fuzz` argument and the makeWorkload
-/// name after the "fuzz@" prefix):
-///
-///   SEED[:knob=value,...]
-///
-/// with knobs (see FuzzKnobs for ranges and defaults):
-///   wset     working-set size per phase segment, in KB
-///   segs     number of phase segments (the phase-change schedule)
-///   entropy  stride entropy, permille: probability a stream draws an
-///            irregular (possibly negative) stride / a shuffled layout
-///   branch   branch mix, permille: probability a loop body carries a
-///            data-dependent conditional branch
-///   phase    iterations per segment before the program moves to the next
-///            phase (capped so the footprint respects wset)
-///   streams  maximum concurrent stride streams per scan segment
+/// name after the "fuzz@" prefix) is support/Spec.h's, headed by the seed:
+/// `SEED[:knob=value,...]`, with the knobs FuzzKnobs::knobs() lists.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TRIDENT_WORKLOADS_FUZZ_FUZZGENERATOR_H
 #define TRIDENT_WORKLOADS_FUZZ_FUZZGENERATOR_H
 
+#include "support/Spec.h"
 #include "workloads/Workloads.h"
 
 #include <cstdint>
@@ -47,26 +36,37 @@
 
 namespace trident {
 
-/// Generation knobs. Defaults are mid-range; every field is validated by
-/// parseFuzzSpec and folded into the canonical workload name when it
-/// differs from the default.
+/// Generation knobs. Defaults are mid-range; knobs() holds each knob's
+/// spec name and range, which parseFuzzSpec checks, and a knob that
+/// differs from its default is folded into the canonical workload name.
 struct FuzzKnobs {
-  /// Working set per phase segment, KB. Range 64..131072 (a segment's data
-  /// must fit its 256MB region).
+  /// Working set per phase segment, KB; capped so a segment's data fits
+  /// its 256MB region.
   uint64_t WsetKB = 8192;
-  /// Number of phase segments the program cycles through. Range 1..8.
+  /// Number of phase segments the program cycles through.
   unsigned Segments = 3;
   /// Stride-entropy permille (0 = only regular strides and layouts,
-  /// 1000 = always irregular). Range 0..1000.
+  /// 1000 = always irregular).
   unsigned EntropyPermille = 300;
   /// Branch-mix permille: chance a segment body carries a data-dependent
-  /// branch. Range 0..1000.
+  /// branch.
   unsigned BranchPermille = 250;
-  /// Iterations per segment visit before the phase change. Range
-  /// 64..1000000; per-segment footprint caps may lower it further.
+  /// Iterations per segment visit before the phase change; per-segment
+  /// footprint caps may lower it further.
   uint64_t PhaseIters = 2000;
-  /// Maximum concurrent stride streams in a scan segment. Range 1..10.
+  /// Maximum concurrent stride streams in a scan segment.
   unsigned Streams = 6;
+
+  /// The spec vocabulary, in canonical-name order.
+  static constexpr auto knobs() {
+    using K = FuzzKnobs;
+    return std::tuple(Knob{"wset", &K::WsetKB, 64, 131072},
+                      Knob{"segs", &K::Segments, 1, 8},
+                      Knob{"entropy", &K::EntropyPermille, 0, 1000},
+                      Knob{"branch", &K::BranchPermille, 0, 1000},
+                      Knob{"phase", &K::PhaseIters, 64, 1'000'000},
+                      Knob{"streams", &K::Streams, 1, 10});
+  }
 
   bool operator==(const FuzzKnobs &) const = default;
 };
@@ -74,11 +74,11 @@ struct FuzzKnobs {
 /// True when \p Name is a fuzz workload spec ("fuzz@..." prefix).
 bool isFuzzSpec(const std::string &Name);
 
-/// Parses \p Spec ("SEED[:knob=v,...]", without the "fuzz@" prefix).
-/// Rejects non-numeric seeds, unknown or duplicate knobs, and out-of-range
-/// values with a registry-style message in \p Error. \p Knobs starts from
-/// defaults; only listed knobs are overwritten.
-bool parseFuzzSpec(const std::string &Spec, uint64_t &Seed, FuzzKnobs &Knobs,
+/// Parses spec \p Text ("SEED[:knob=v,...]", with or without the "fuzz@"
+/// prefix) through Spec::parse. Rejects non-numeric seeds, unknown or
+/// duplicate knobs, and out-of-range values with a message in \p Error.
+/// \p Knobs starts from defaults; only listed knobs are overwritten.
+bool parseFuzzSpec(const std::string &Text, uint64_t &Seed, FuzzKnobs &Knobs,
                    std::string *Error);
 
 /// The canonical workload name: "fuzz@SEED" plus each non-default knob in

@@ -62,13 +62,14 @@ FaultPlan shiftyPlan() {
   return P;
 }
 
-SimConfig banditConfig(uint64_t Seed) {
+/// \p MoreKnobs (",knob=value...") is appended to the bandit spec.
+SimConfig banditConfig(uint64_t Seed, const std::string &MoreKnobs = "") {
   SimConfig C = budget(SimConfig::hwBaseline());
   C.Faults = shiftyPlan();
   std::string Err;
-  bool Ok = SelectorConfig::parse(
-      "bandit:seed=" + std::to_string(Seed) + ",epoch=4,interval=1000",
-      C.Selector, &Err);
+  bool Ok = SelectorConfig::parse("bandit:seed=" + std::to_string(Seed) +
+                                      ",epoch=4,interval=1000" + MoreKnobs,
+                                  C.Selector, &Err);
   EXPECT_TRUE(Ok) << Err;
   return C;
 }
@@ -135,6 +136,18 @@ TEST(SelectorConfig, RejectsBadSpecs) {
   // The arsenal's spec hardening applies here too.
   EXPECT_FALSE(SelectorConfig::parse("bandit:seed=-1", C, &Err));
   EXPECT_FALSE(SelectorConfig::parse("bandit:seed=1,seed=2", C, &Err));
+
+  // An empty knob list or element is malformed, and ucb is 0/1; each error
+  // names the element or the knob.
+  const std::pair<const char *, const char *> Named[] = {
+      {"bandit:", "malformed knob ''"},
+      {"bandit:seed=3,", "malformed knob ''"},
+      {"bandit:ucb=2", "bandit knob 'ucb' is 2, outside [0, 1]"},
+  };
+  for (const auto &[Text, Names] : Named) {
+    EXPECT_FALSE(SelectorConfig::parse(Text, C, &Err)) << Text;
+    EXPECT_NE(Err.find(Names), std::string::npos) << Text << ": " << Err;
+  }
 }
 
 TEST(SelectorConfig, UnknownPolicyTextNamesEveryPolicy) {
@@ -199,6 +212,24 @@ TEST(Selector, BanditSwapsUnderRegimeShifts) {
   ASSERT_TRUE(R.Registry);
   EXPECT_TRUE(R.Registry->has("selector.swaps"));
   EXPECT_EQ(R.Registry->counter("selector.swaps"), R.Selector.Swaps);
+}
+
+TEST(Selector, UcbBanditExploresAndReplays) {
+  // UCB1 draws no random numbers: its bonus term is the exploration. On
+  // mcf under shiftyPlan at 300k+30k it reads 75 epochs, 65 swaps and 41
+  // explorations.
+  const SimConfig C = banditConfig(3, ",ucb=1");
+  SimResult R = runSimulation(makeWorkload("mcf"), C);
+  EXPECT_TRUE(R.ConfigName.ends_with("+bandit-ucb")) << R.ConfigName;
+  EXPECT_EQ(R.Selector.Epochs, R.SelectorTrace.size());
+  const auto Arms = PrefetcherRegistry::instance().arsenalNames();
+  for (const SelectorDecisionRecord &D : R.SelectorTrace)
+    EXPECT_LT(D.ChosenArm, Arms.size());
+  EXPECT_GT(R.Selector.Explorations, 0u);
+  EXPECT_GT(R.Selector.Swaps, 0u);
+  SimResult Again = runSimulation(makeWorkload("mcf"), C);
+  ASSERT_TRUE(R.Registry && Again.Registry);
+  EXPECT_EQ(R.Registry->toJsonl(), Again.Registry->toJsonl());
 }
 
 //===----------------------------------------------------------------------===//

@@ -108,6 +108,7 @@ TEST(FuzzScenario, SpecParsingRejectsMalformedInput) {
            "fuzz@7:segs=99",        // above range (max 8)
            "fuzz@7:entropy=1001",   // permille above 1000
            "fuzz@7:wset=256,,segs=2", // empty element
+           "fuzz@7:wset=256,",      // trailing empty element
        }) {
     Err.clear();
     EXPECT_FALSE(parseFuzzSpec(Bad, Seed, K, &Err)) << Bad;

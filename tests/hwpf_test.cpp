@@ -677,8 +677,11 @@ TEST(PrefetcherRegistry, BadKnobsAreRejected) {
             nullptr);
   EXPECT_NE(Error.find("malformed knob"), std::string::npos);
   // Values a unit cannot be built with are spec errors naming the knob,
-  // not aborts (or faults) in its constructor.
-  const std::pair<const char *, const char *> OutOfRange[] = {
+  // not aborts (or faults) in its constructor; an empty knob list or
+  // element is malformed, not shorthand for no knob.
+  const std::pair<const char *, const char *> Bad[] = {
+      {"dcpt:", "malformed knob ''"},
+      {"dcpt:entries=64,", "malformed knob ''"},
       {"dcpt:deltas=1", "'deltas'"},
       {"dcpt:entries=0", "'entries'"},
       {"dcpt:degree=0", "'degree'"},
@@ -701,10 +704,10 @@ TEST(PrefetcherRegistry, BadKnobsAreRejected) {
       {"stream:buffers=0", "'buffers'"},
   };
   const PrefetcherRegistry &Reg = PrefetcherRegistry::instance();
-  for (const auto &[Spec, Knob] : OutOfRange) {
+  for (const auto &[Text, Knob] : Bad) {
     Error.clear();
-    EXPECT_EQ(Reg.create(Spec, PrefetcherEnv{}, &Error), nullptr) << Spec;
-    EXPECT_NE(Error.find(Knob), std::string::npos) << Spec << ": " << Error;
+    EXPECT_EQ(Reg.create(Text, PrefetcherEnv{}, &Error), nullptr) << Text;
+    EXPECT_NE(Error.find(Knob), std::string::npos) << Text << ": " << Error;
   }
 }
 
@@ -777,35 +780,23 @@ TEST(PrefetcherRegistry, OutOfRangeKnobValuesAreRejected) {
             nullptr);
   EXPECT_NE(Error.find("out of range"), std::string::npos) << Error;
   // The boundary itself is fine.
-  PrefetcherSpec S;
-  EXPECT_TRUE(PrefetcherSpec::parse("sb8x8:depth=4294967295", S, &Error));
-  EXPECT_EQ(S.knobOr("depth", 0), 4294967295ull);
+  Spec S;
+  EXPECT_TRUE(Spec::parse("sb8x8:depth=4294967295", S, &Error));
+  EXPECT_EQ(S.Knobs.at(0).first, "depth");
+  EXPECT_EQ(S.Knobs.at(0).second, 4294967295ull);
 }
 
 TEST(PrefetcherRegistry, DuplicateKnobsAreRejected) {
-  // knobOr is first-wins, so "depth=4,depth=16" used to silently mean
-  // depth=4 while fingerprinting as a distinct config.
+  // A first-wins lookup would read "depth=4,depth=16" as depth=4 while it
+  // fingerprints as a distinct config.
   std::string Error;
   EXPECT_EQ(PrefetcherRegistry::instance().create("sb8x8:depth=4,depth=16",
                                                   PrefetcherEnv{}, &Error),
             nullptr);
   EXPECT_NE(Error.find("duplicate knob 'depth'"), std::string::npos) << Error;
   // Distinct knobs still parse.
-  PrefetcherSpec S;
-  EXPECT_TRUE(
-      PrefetcherSpec::parse("stream:buffers=4,depth=4", S, &Error));
-}
-
-TEST(PrefetcherRegistryDeathTest, ReRegisteringANameAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  PrefetcherRegistry::Info I;
-  I.Name = "sb8x8"; // collides with the built-in arsenal
-  I.Make = [](const PrefetcherSpec &, const PrefetcherEnv &,
-              std::string *) -> std::unique_ptr<HwPrefetcher> {
-    return nullptr;
-  };
-  EXPECT_DEATH(PrefetcherRegistry::instance().add(std::move(I)),
-               "duplicate prefetcher registration 'sb8x8'");
+  Spec S;
+  EXPECT_TRUE(Spec::parse("stream:buffers=4,depth=4", S, &Error));
 }
 
 TEST(PrefetcherRegistry, PageBoundedEnvConfiguresStreamBuffers) {

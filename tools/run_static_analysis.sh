@@ -11,8 +11,9 @@
 #                           a curated suppression set keeps the known
 #                           libstdc++ false-positive families out, so any
 #                           remaining warning FAILs the gate)
-#   4. clang-format check  (changed files only — no mass reformat; skipped
-#                           with a notice when clang-format is absent)
+#   4. clang-format check  (changed lines only, via git clang-format — no
+#                           mass reformat; skipped with a notice when
+#                           clang-format is absent)
 #   5. clang-tidy          (the `tidy` preset; skipped with a notice when
 #                           clang-tidy is absent — the container image
 #                           ships only gcc, hence the -fanalyzer gate)
@@ -22,7 +23,7 @@
 #
 # Usage: tools/run_static_analysis.sh [--quick] [--base REF]
 #   --quick      analyzer + format check only (no compilation)
-#   --base REF   diff base for the changed-file format check
+#   --base REF   diff base for the changed-line format check
 #                (default: merge-base with main, else HEAD~1, else HEAD)
 set -uo pipefail
 
@@ -99,34 +100,28 @@ else
   report SKIP gcc-fanalyzer "--quick"
 fi
 
-# ---- 4. clang-format (changed files only) ---------------------------------
+# ---- 4. clang-format (changed lines only) ---------------------------------
+# git clang-format reads only the lines changed since BASE_REF, so an edit to
+# a file that holds older unformatted code passes; an untracked file is all
+# new lines and is checked whole. Older git-clang-format releases exit 0 even
+# when they print a diff, so the gate tests the output (quiet mode prints
+# nothing when the lines are clean).
 if command -v clang-format > /dev/null; then
   if [[ -z "$BASE_REF" ]]; then
     BASE_REF="$(git merge-base HEAD main 2> /dev/null \
                 || git rev-parse --verify -q HEAD~1 \
                 || git rev-parse HEAD)"
   fi
-  mapfile -t CHANGED < <(
-    { git diff --name-only "$BASE_REF" -- '*.cpp' '*.h'
-      git diff --name-only --cached -- '*.cpp' '*.h'
-      git ls-files --others --exclude-standard -- '*.cpp' '*.h'
-    } | sort -u)
-  if [[ ${#CHANGED[@]} -eq 0 ]]; then
-    report OK clang-format "no changed C++ files vs $BASE_REF"
+  OUT="$(git clang-format -q --diff --extensions cpp,h "$BASE_REF" 2>&1)"
+  while IFS= read -r F; do
+    clang-format --dry-run -Werror "$F" > /dev/null 2>&1 \
+      || OUT+="${OUT:+$'\n'}needs formatting: $F"
+  done < <(git ls-files --others --exclude-standard -- '*.cpp' '*.h')
+  if [[ -z "$OUT" ]]; then
+    report OK clang-format "lines changed since $BASE_REF are clean"
   else
-    BAD=0
-    for F in "${CHANGED[@]}"; do
-      [[ -f "$F" ]] || continue
-      if ! clang-format --dry-run -Werror "$F" > /dev/null 2>&1; then
-        echo "needs formatting: $F"
-        BAD=1
-      fi
-    done
-    if [[ $BAD -eq 0 ]]; then
-      report OK clang-format "${#CHANGED[@]} changed file(s) clean"
-    else
-      report FAIL clang-format "run clang-format -i on the files above"
-    fi
+    echo "$OUT"
+    report FAIL clang-format "run git clang-format $BASE_REF (clang-format -i on new files)"
   fi
 else
   report SKIP clang-format "clang-format not on PATH"
